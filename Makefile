@@ -75,11 +75,11 @@ fleet-smoke:     ## multi-process fleet: 3 workers, fault-injected loadgen, acce
 	  --plan > /dev/null
 	timeout 600 $(PYTHON) -m pytest tests/fleet -q
 
-fleet-trace-overhead: ## recorder-on guard: fleet throughput with tracing >= 0.9x tracing-off
+fleet-trace-overhead: ## recorder-on guard: median of paired tracing-on/off fleet throughput ratios >= 0.90
 	timeout 600 $(PYTHON) -m repro fleet --trace-overhead-check \
 	  --workers 2 --clients 4 --requests 8
 
-analyze-smoke:   ## trace fig13 -> analyzer decomposition check (sum==wall ±1%, spin<=wall) + flight-recorder overhead bound
+analyze-smoke:   ## trace fig13 -> analyzer decomposition check (sum==wall ±1%, spin<=wall) + flight-recorder overhead (median of paired ratios >= 0.90)
 	$(PYTHON) -m repro trace fig13 -o /tmp/repro_analyze_smoke.json --check
 	$(PYTHON) -m repro analyze /tmp/repro_analyze_smoke.json --check
 	$(PYTHON) -m repro serve --shape compact --clients 4 --requests 8 \

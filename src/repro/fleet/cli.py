@@ -68,9 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "here before the fleet closes (implies "
                              "--trace full unless --trace is given)")
     parser.add_argument("--trace-overhead-check", action="store_true",
-                        help="run the load twice (tracing off, then on) "
-                             "and fail unless traced throughput stays "
-                             ">= 0.9x of untraced")
+                        help="run the load in a warmup pair plus 6 "
+                             "interleaved tracing-off/on pairs and fail "
+                             "unless the median of the paired on/off "
+                             "throughput ratios is >= 0.90")
     parser.add_argument("--stats", action="store_true",
                         help="print the full fleet stats snapshot "
                              "(per-worker + rollup + ring + autoscaler)")
@@ -86,8 +87,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _load_kwargs(args) -> dict:
+    """The :func:`~repro.fleet.loadgen.run_fleet_load` arguments a plain
+    load run and the tracing overhead guard share."""
     from repro.fleet.config import FleetConfig
+
+    cfg = FleetConfig.from_env()
+    if args.workers is not None:
+        cfg = cfg.replace(n_workers=args.workers,
+                          max_workers=max(cfg.max_workers, args.workers))
+    return dict(
+        shapes=args.shapes.split(",") if args.shapes else None,
+        sizes=[int(s) for s in args.sizes.split(",")]
+        if args.sizes else None,
+        clients=args.clients, requests_per_client=args.requests,
+        fleet_config=cfg, seed=args.seed, prime=not args.no_prime)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
     from repro.fleet.loadgen import (check_fleet_report, run_fleet_check,
                                      run_fleet_load)
 
@@ -108,22 +125,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             incident_dir=args.incident_dir,
             collect_stats=collect, trace_out=args.trace_out, **kwargs)
     else:
-        cfg = FleetConfig.from_env()
-        if args.workers is not None:
-            cfg = cfg.replace(n_workers=args.workers,
-                              max_workers=max(cfg.max_workers,
-                                              args.workers))
-        if args.trace is not None:
-            cfg = cfg.replace(trace=args.trace)
-        elif args.trace_out is not None:
-            cfg = cfg.replace(trace="full")
-        report = run_fleet_load(
-            shapes=args.shapes.split(",") if args.shapes else None,
-            sizes=[int(s) for s in args.sizes.split(",")]
-            if args.sizes else None,
-            clients=args.clients, requests_per_client=args.requests,
-            fleet_config=cfg, seed=args.seed, prime=not args.no_prime,
-            collect_stats=collect, trace_out=args.trace_out)
+        kwargs = _load_kwargs(args)
+        trace = args.trace or ("full" if args.trace_out is not None
+                               else None)
+        if trace is not None:
+            kwargs["fleet_config"] = kwargs["fleet_config"].replace(
+                trace=trace)
+        report = run_fleet_load(collect_stats=collect,
+                                trace_out=args.trace_out, **kwargs)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True,
                          default=str))
@@ -155,74 +164,40 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _trace_overhead_check(args) -> int:
     """The recorder-on overhead guard: the same load with tracing off
-    and with the span recorder on; traced throughput must hold >= 0.9x
-    of untraced.  Measures ``spans`` mode — the distributed-tracing
-    machinery itself (context propagation, span rings, router span
-    synthesis) — unless ``--trace full`` asks for the instant-event
-    firehose too.
-
-    Shared CI boxes stall for whole seconds at a time, which swings any
-    single throughput sample by more than the recorder ever could, so
-    the guard is built from noise-robust statistics: a warmup run,
-    then interleaved off/traced pairs, passing if EITHER the ratio of
-    per-mode bests or the best matched-pair ratio clears the bound —
-    i.e. the recorder demonstrably kept up in at least one clean
-    comparison.  A real regression drags every pair down and fails
-    both statistics."""
-    from repro.fleet.config import FleetConfig
+    and with the span recorder on, compared by
+    :func:`repro.serve.loadgen.paired_overhead` (the median of 6
+    interleaved off/on throughput ratios must reach 0.90).  Measures
+    ``spans`` mode — the distributed-tracing machinery itself (context
+    propagation, span rings, router span synthesis) — unless
+    ``--trace full`` asks for the instant-event firehose too."""
+    from repro.errors import ServeError
     from repro.fleet.loadgen import run_fleet_load
+    from repro.serve.loadgen import OVERHEAD_MIN_REQUESTS, paired_overhead
 
-    cfg = FleetConfig.from_env()
-    if args.workers is not None:
-        cfg = cfg.replace(n_workers=args.workers,
-                          max_workers=max(cfg.max_workers, args.workers))
-    shapes = args.shapes.split(",") if args.shapes else None
-    sizes = ([int(s) for s in args.sizes.split(",")]
-             if args.sizes else None)
+    kwargs = _load_kwargs(args)
+    cfg = kwargs.pop("fleet_config")
+    kwargs["requests_per_client"] = max(args.requests,
+                                        OVERHEAD_MIN_REQUESTS)
     traced_mode = args.trace if args.trace not in (None, "off") \
         else "spans"
-    # Short request counts make the measured window a handful of
-    # milliseconds, where one scheduler stall swings the ratio more
-    # than the recorder does; stretch the window so the guard measures
-    # tracing, not the OS.
-    requests = max(args.requests, 64)
-    rounds = 6
-    run_fleet_load(shapes=shapes, sizes=sizes, clients=args.clients,
-                   requests_per_client=max(8, requests // 4),
-                   fleet_config=cfg.replace(trace="off"),
-                   seed=args.seed, prime=not args.no_prime)
-    throughputs = {"off": [], traced_mode: []}
-    for _ in range(rounds):
-        for mode in ("off", traced_mode):
-            run = run_fleet_load(
-                shapes=shapes, sizes=sizes, clients=args.clients,
-                requests_per_client=requests,
-                fleet_config=cfg.replace(trace=mode), seed=args.seed,
-                prime=not args.no_prime)
-            if run.failed or run.wrong:
-                print(f"trace={mode}: {run.failed + run.wrong} "
-                      f"requests failed/wrong", file=sys.stderr)
-                return 1
-            throughputs[mode].append(run.throughput_rps)
-    best = {mode: max(vals) for mode, vals in throughputs.items()}
-    for mode in ("off", traced_mode):
-        print(f"trace={mode}: best {best[mode]:.1f} req/s over "
-              f"{rounds} interleaved runs of "
-              f"{args.clients * requests} requests")
-    pair_ratios = [t / o for o, t in zip(throughputs["off"],
-                                         throughputs[traced_mode]) if o]
-    best_ratio = (best[traced_mode] / best["off"]) if best["off"] else 1.0
-    ratio = max([best_ratio] + pair_ratios)
-    print("pair ratios: "
-          + " ".join(f"{p:.3f}" for p in pair_ratios))
-    print(f"tracing overhead: {ratio:.3f}x of untraced throughput "
-          f"(best-of-run ratio {best_ratio:.3f}x, bound 0.90x)")
-    if ratio < 0.90:
-        print("trace overhead check FAILED: recorder-on throughput "
-              "dropped below 0.9x", file=sys.stderr)
+
+    def run(on: bool) -> float:
+        mode = traced_mode if on else "off"
+        report = run_fleet_load(fleet_config=cfg.replace(trace=mode),
+                                **kwargs)
+        if report.completed != report.requests or report.wrong:
+            raise ServeError(
+                f"trace={mode}: {report.requests - report.completed} "
+                f"requests not completed, {report.wrong} wrong")
+        return report.throughput_rps
+
+    try:
+        verdict = paired_overhead(run)
+    except ServeError as exc:
+        print(f"trace overhead check FAILED: {exc}", file=sys.stderr)
         return 1
-    print("trace overhead check: OK")
-    return 0
+    print(verdict.line(f"fleet tracing ({traced_mode}) overhead"))
+    return 0 if verdict.ok else 1
 
 
 def trace_fleet(output: str, *, workers: int = 2, requests: int = 10,

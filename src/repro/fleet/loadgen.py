@@ -1,10 +1,10 @@
-"""Closed-loop load generation and acceptance checks for the fleet.
+"""Fleet load runs and the ``fleet --check`` acceptance pass.
 
-:func:`run_fleet_load` drives a :class:`repro.fleet.Fleet` with client
-threads spread over several traffic shapes *and* several input sizes —
+:func:`run_fleet_load` drives a :class:`repro.fleet.Fleet` through the
+shared closed-loop :func:`repro.serve.loadgen.drive`, spreading its
+clients over several traffic shapes *and* several input sizes —
 distinct batch keys, so the consistent-hash router actually has a key
-population to balance — and verifies every response byte-for-byte
-against the NumPy reference semantics.
+population to balance.
 
 :func:`run_fleet_check` is the deterministic acceptance pass behind
 ``python -m repro fleet --check``:
@@ -12,7 +12,8 @@ against the NumPy reference semantics.
 1. **healthy phase** — multi-shape traffic over a 3-worker fleet;
    asserts byte-correct responses, bounded routing skew (no worker
    above 2x the mean key load) and an aggregate plan-cache hit rate
-   above 90% after warmup;
+   above 90% after warmup.  This is the only timed phase: the report's
+   counts, throughput and latencies cover it alone;
 2. **burst phase** — a request backlog plus manual
    :meth:`~repro.fleet.Fleet.autoscale_tick` calls until the
    autoscaler *grows* the pool;
@@ -37,40 +38,32 @@ so the check passes or fails for real reasons.
 from __future__ import annotations
 
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import ClassVar, List, Optional
 
 from repro.errors import ServeError
 from repro.fleet.config import FleetConfig
 from repro.fleet.fleet import Fleet
+from repro.obs.rollup import merge_server_stats
 from repro.serve.config import ServeConfig
-from repro.serve.loadgen import SHAPES, ShapeSpec, make_shape
+from repro.serve.loadgen import SHAPES, LoadReport, ShapeSpec, drive, \
+    fold_server_stats, make_shape
 
 __all__ = ["FleetLoadReport", "run_fleet_load", "run_fleet_check",
            "check_fleet_report"]
 
 
 @dataclass
-class FleetLoadReport:
-    """Everything a fleet load run measured (the ``backend="fleet"``
-    bench-index row reads straight off these fields)."""
+class FleetLoadReport(LoadReport):
+    """A :class:`LoadReport` plus the fleet facts: worker counts, scale
+    events, routing, incident replay and the merged trace (the
+    ``backend="fleet"`` bench-index row reads straight off these
+    fields).  ``shape`` joins the traffic shapes with ``+``."""
 
-    shapes: List[str]
-    clients: int
-    requests: int
-    completed: int = 0
-    wrong: int = 0
-    failed: int = 0
-    wall_s: float = 0.0
-    throughput_rps: float = 0.0
-    latency_p50_ms: float = 0.0
-    latency_p95_ms: float = 0.0
-    latency_p99_ms: float = 0.0
+    door: ClassVar[str] = "fleet"
+
     workers_start: int = 0
     workers_peak: int = 0
     workers_end: int = 0
@@ -78,12 +71,8 @@ class FleetLoadReport:
     scale_downs: int = 0
     routing_skew: float = 0.0
     route_keys: int = 0
-    plan_hit_rate: float = 0.0
     replay_trigger: Optional[str] = None
     replay_reproduced: Optional[bool] = None
-    incidents: List[str] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)
-    stats: Optional[Dict] = None
     # Distributed-tracing acceptance (populated when the run traced).
     trace_path: Optional[str] = None
     trace_requests: Optional[int] = None
@@ -91,31 +80,24 @@ class FleetLoadReport:
     trace_problems: List[str] = field(default_factory=list)
     fleet_incidents: List[str] = field(default_factory=list)
 
+    @property
+    def shapes(self) -> List[str]:
+        return self.shape.split("+")
+
     def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["errors"] = list(self.errors[:5])
+        out = super().to_dict()
         out.pop("stats", None)
         return out
 
     def summary(self) -> str:
         lines = [
-            f"fleet loadgen: shapes={'+'.join(self.shapes)} "
-            f"clients={self.clients} requests={self.requests}",
-            f"  completed {self.completed} ({self.wrong} wrong, "
-            f"{self.failed} failed)",
-            f"  throughput {self.throughput_rps:.1f} req/s over "
-            f"{self.wall_s * 1e3:.1f} ms",
-            f"  latency p50 {self.latency_p50_ms:.2f} ms, "
-            f"p95 {self.latency_p95_ms:.2f} ms, "
-            f"p99 {self.latency_p99_ms:.2f} ms",
+            super().summary(),
             f"  workers {self.workers_start} -> peak {self.workers_peak} "
             f"-> {self.workers_end} "
             f"({self.scale_ups} scale-ups, {self.scale_downs} "
             f"scale-downs)",
             f"  routing: {self.route_keys} keys, skew "
-            f"{self.routing_skew:.2f}x mean "
-            f"(bound 2.00x)",
-            f"  fleet plan-cache hit rate {self.plan_hit_rate * 100:.1f}%",
+            f"{self.routing_skew:.2f}x mean (bound 2.00x)",
         ]
         if self.trace_path is not None:
             joined = self.trace_joined or 0
@@ -134,99 +116,34 @@ class FleetLoadReport:
             lines.append(
                 f"  incident replay: trigger {self.replay_trigger!r} "
                 f"{verdict}")
-        if self.incidents:
-            lines.append("  incident bundles:")
-            lines.extend(f"    {p}" for p in self.incidents[:4])
-        if self.errors:
-            lines.append(f"  first errors: {self.errors[:3]}")
         return "\n".join(lines)
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(len(sorted_values) - 1,
-              int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[idx]
 
 
 def _traffic(shapes: List[str], sizes: List[int],
              seed: int) -> List[ShapeSpec]:
     """One ShapeSpec per (shape, size) — each is a distinct batch key,
     which is what gives the hash ring a population to balance."""
-    specs = []
-    for name in shapes:
-        for n in sizes:
-            specs.append(make_shape(name, n, seed))
-    return specs
+    return [make_shape(name, n, seed) for name in shapes for n in sizes]
 
 
-def _drive(fleet: Fleet, specs: List[ShapeSpec], report: FleetLoadReport,
-           *, clients: int, requests_per_client: int,
-           timeout_s: float) -> List[float]:
-    """Closed-loop clients, round-robining over the traffic specs."""
-    latencies: List[float] = []
-    lock = threading.Lock()
-
-    def client(cid: int) -> None:
-        for k in range(requests_per_client):
-            spec = specs[(cid + k) % len(specs)]
-            t0 = time.perf_counter()
-            try:
-                fut = fleet.submit_chain(spec.ops, spec.array)
-                result = fut.result(timeout=timeout_s)
-            except Exception as exc:
-                with lock:
-                    report.failed += 1
-                    report.errors.append(f"{type(exc).__name__}: {exc}")
-                continue
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
-            ok = np.array_equal(np.asarray(result.output), spec.expected)
-            with lock:
-                report.completed += 1
-                latencies.append(elapsed_ms)
-                if not ok:
-                    report.wrong += 1
-                    report.errors.append(
-                        f"client {cid}: wrong output for "
-                        f"{spec.name}/n={spec.array.size}")
-
-    threads = [threading.Thread(target=client, args=(i,),
-                                name=f"fleet-client-{i}")
-               for i in range(clients)]
-    t_start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    report.wall_s += time.perf_counter() - t_start
-    return latencies
+def _drive_fleet(fleet: Fleet, specs: List[ShapeSpec],
+                 report: FleetLoadReport, *, clients: int,
+                 requests_per_client: int, timeout_s: float) -> None:
+    """:func:`drive` the fleet and fold the rollup of its workers'
+    serve stats over the run into ``report``."""
+    before = merge_server_stats(fleet.worker_stats())
+    drive(fleet, specs, clients=clients,
+          requests_per_client=requests_per_client, timeout_s=timeout_s,
+          report=report)
+    fold_server_stats(report, before, merge_server_stats(
+        fleet.worker_stats()))
 
 
-def _fold_stats(report: FleetLoadReport, stats: dict) -> None:
+def _fold_fleet_stats(report: FleetLoadReport, stats: dict) -> None:
     report.routing_skew = float(stats["ring"]["skew"])
     report.route_keys = int(stats["ring"]["keys"])
     report.scale_ups = int(stats["autoscale"]["ups"])
     report.scale_downs = int(stats["autoscale"]["downs"])
-    report.incidents = list(stats["rollup"]["flight"]["incidents"])
-
-
-def _plan_counts(fleet: Fleet) -> tuple:
-    """Fleet-wide cumulative (plan hits, plan misses)."""
-    workers = fleet.worker_stats()
-    hits = sum(int(s.get("plan_cache.hits", 0)) for s in workers.values())
-    misses = sum(int(s.get("plan_cache.misses", 0))
-                 for s in workers.values())
-    return hits, misses
-
-
-def _hit_rate_delta(before: tuple, after: tuple) -> float:
-    """Plan-cache hit rate over the serving window only — priming
-    populates the caches with deliberate misses, so the cumulative
-    rate would punish exactly the warmup the check demands."""
-    hits = after[0] - before[0]
-    planned = hits + (after[1] - before[1])
-    return hits / planned if planned else 1.0
 
 
 def _check_fleet_trace(report: FleetLoadReport, fleet: Fleet,
@@ -314,33 +231,24 @@ def run_fleet_load(
     cfg = fleet_config if fleet_config is not None else FleetConfig()
     specs = _traffic(shapes, sizes, seed)
     report = FleetLoadReport(
-        shapes=shapes, clients=clients,
+        shape="+".join(shapes), clients=clients,
         requests=clients * requests_per_client)
     with Fleet(cfg, ds_config=ds_config) as fleet:
         report.workers_start = fleet.n_workers
         if prime:
             for spec in specs:
                 fleet.prime(spec.ops, spec.array)
-        plans0 = _plan_counts(fleet)
-        latencies = _drive(fleet, specs, report, clients=clients,
-                           requests_per_client=requests_per_client,
-                           timeout_s=timeout_s)
-        report.plan_hit_rate = _hit_rate_delta(plans0,
-                                               _plan_counts(fleet))
+        _drive_fleet(fleet, specs, report, clients=clients,
+                     requests_per_client=requests_per_client,
+                     timeout_s=timeout_s)
         report.workers_peak = max(report.workers_start, fleet.n_workers)
         report.workers_end = fleet.n_workers
         stats = fleet.stats()
-        _fold_stats(report, stats)
+        _fold_fleet_stats(report, stats)
         if collect_stats:
             report.stats = stats
         if trace_out is not None and fleet.tracing:
             _check_fleet_trace(report, fleet, Path(trace_out))
-    latencies.sort()
-    report.latency_p50_ms = _percentile(latencies, 0.50)
-    report.latency_p95_ms = _percentile(latencies, 0.95)
-    report.latency_p99_ms = _percentile(latencies, 0.99)
-    report.throughput_rps = (report.completed / report.wall_s
-                             if report.wall_s > 0 else 0.0)
     return report
 
 
@@ -381,7 +289,7 @@ def run_fleet_check(
     )
     specs = _traffic(shapes, sizes, seed)
     report = FleetLoadReport(
-        shapes=shapes, clients=clients,
+        shape="+".join(shapes), clients=clients,
         requests=clients * requests_per_client)
     try:
         with Fleet(cfg) as fleet:
@@ -390,13 +298,9 @@ def run_fleet_check(
             # Phase 1: healthy traffic (correctness, skew, hit rate).
             for spec in specs:
                 fleet.prime(spec.ops, spec.array)
-            plans0 = _plan_counts(fleet)
-            latencies = _drive(
-                fleet, specs, report, clients=clients,
-                requests_per_client=requests_per_client,
-                timeout_s=timeout_s)
-            report.plan_hit_rate = _hit_rate_delta(plans0,
-                                                   _plan_counts(fleet))
+            _drive_fleet(fleet, specs, report, clients=clients,
+                         requests_per_client=requests_per_client,
+                         timeout_s=timeout_s)
             if report.failed:
                 report.errors.append(
                     f"{report.failed} requests failed during the "
@@ -405,7 +309,9 @@ def run_fleet_check(
             # Phase 2: sustained backlog -> the autoscaler must grow.
             # queue_high=2/up_after=1 means one pressured observation
             # is enough; we fabricate pressure deterministically by
-            # submitting a burst and ticking while it is queued.
+            # submitting a burst and ticking while it is queued.  The
+            # burst and chaos phases probe the autoscaler and the
+            # incident path; they stay out of the timed counts.
             grew = False
             burst_spec = specs[0]
             for _ in range(6):
@@ -416,8 +322,6 @@ def run_fleet_check(
                 decision = fleet.autoscale_tick()
                 for fut in futures:
                     fut.result(timeout=timeout_s)
-                    report.completed += 1
-                report.requests += len(futures)
                 if decision == "up":
                     grew = True
                     break
@@ -448,10 +352,8 @@ def run_fleet_check(
                     fleet.submit_chain(
                         incident_spec.ops,
                         incident_spec.array).result(timeout=timeout_s)
-                    report.completed += 1
                 except ServeError:
-                    report.failed += 1
-                report.requests += 1
+                    pass  # chaos may fail a request; the bundle is the point
             fleet.set_fault(None)
 
             # Phase 5: distributed-tracing acceptance — merged trace,
@@ -463,7 +365,7 @@ def run_fleet_check(
                 else incident_root / "fleet-trace.json")
 
             stats = fleet.stats()
-            _fold_stats(report, stats)
+            _fold_fleet_stats(report, stats)
             if collect_stats:
                 report.stats = stats
             if not grew:
@@ -490,13 +392,6 @@ def run_fleet_check(
     finally:
         if tmp is not None:
             tmp.cleanup()
-
-    latencies.sort()
-    report.latency_p50_ms = _percentile(latencies, 0.50)
-    report.latency_p95_ms = _percentile(latencies, 0.95)
-    report.latency_p99_ms = _percentile(latencies, 0.99)
-    report.throughput_rps = (report.completed / report.wall_s
-                             if report.wall_s > 0 else 0.0)
     return report
 
 

@@ -63,6 +63,7 @@ import traceback
 import numpy as np
 
 from repro.errors import LaunchError
+from repro.simgpu.counters import launch_backend
 
 __all__ = ["worker_main", "MutableFaultInjector"]
 
@@ -113,6 +114,9 @@ def _respond(outbox, worker_id: str, rid: int, future, shm,
         desc, seg = stage_result(np.asarray(result.output))
         extras = {k: v for k, v in (result.extras or {}).items()
                   if isinstance(v, (str, int, float, bool, type(None)))}
+        # The launch records stay in the worker; the backend they ran
+        # on rides back in the extras.
+        extras["backend"] = launch_backend(result.counters)
         outbox.put(("res", rid, "ok", desc, extras, timing()))
         seg.close()
     except Exception as exc:  # pragma: no cover - transport failure

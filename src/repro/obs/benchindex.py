@@ -20,7 +20,9 @@ environment variable the Makefile injects, plus a timestamp)::
 
 Serve-layer runs append a ``backend="serve"`` row keyed by throughput
 and tail latency instead of kernel wall-clock; fleet runs append a
-``backend="fleet"`` row carrying worker counts and scale events.
+``backend="fleet"`` row carrying worker counts and scale events.  Both
+record in ``kernel_backend`` the kernel backend the responses' launch
+records report (a compiled fallback reads as ``vectorized``).
 Appends are atomic (read → extend → tmp file → ``os.replace``) and
 never rewrite existing rows; a corrupt index raises
 :class:`~repro.errors.ReproError` naming the file rather than silently
@@ -165,6 +167,7 @@ def row_from_load_report(report, *, rev: Optional[str] = None,
     return {
         "id": bench_id,
         "backend": "serve",
+        "kernel_backend": report.backend,
         "shape": report.shape,
         "wall_clock_s": report.wall_s,
         "throughput_rps": report.throughput_rps,
@@ -219,6 +222,7 @@ def row_from_fleet_run(report, *, rev: Optional[str] = None,
     return {
         "id": bench_id,
         "backend": "fleet",
+        "kernel_backend": report.backend,
         "shapes": "+".join(report.shapes),
         "wall_clock_s": report.wall_s,
         "throughput_rps": report.throughput_rps,

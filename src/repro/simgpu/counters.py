@@ -13,9 +13,9 @@ extra passes the paper blames for its slowdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict
+from typing import Dict, Iterable, Optional
 
-__all__ = ["LaunchCounters"]
+__all__ = ["LaunchCounters", "launch_backend"]
 
 
 @dataclass
@@ -104,3 +104,15 @@ class LaunchCounters:
             f"{self.n_atomics} atomics, {self.n_spins} spins, "
             f"peak residency {self.peak_resident}"
         )
+
+
+def launch_backend(counters: Iterable[LaunchCounters]) -> Optional[str]:
+    """The kernel backend that ran a response's launches, read from
+    their records: ``"compiled"``, ``"vectorized"`` or ``"simulated"``,
+    or ``None`` when no launch ran (a degraded response).  A compiled
+    request that fell back without Numba launches on the vectorized
+    path, so it reads as ``"vectorized"``."""
+    kinds = {"compiled" if c.extras.get("compiled") == 1.0
+             else "vectorized" if c.extras.get("vectorized") == 1.0
+             else "simulated" for c in counters}
+    return "+".join(sorted(kinds)) or None

@@ -339,7 +339,8 @@ def tune_serve(
     under a candidate (max_batch_size, max_wait_ms); when the space's
     ``worker_counts`` reaches past 1, those grid points instead drive
     a whole multi-process :class:`repro.fleet.Fleet` of that size via
-    :func:`repro.fleet.loadgen.run_fleet_load`, and the winning knob
+    :func:`repro.fleet.loadgen.run_fleet_load` (both drive their door
+    through :func:`repro.serve.loadgen.drive`), and the winning knob
     dict carries ``n_workers``.  The first grid point evaluated with
     the *current* ServeConfig defaults is the baseline.  ``budget``
     bounds the number of grid points tried.
@@ -378,7 +379,7 @@ def tune_serve(
             from repro.fleet.config import FleetConfig
             from repro.fleet.loadgen import run_fleet_load
 
-            fleet_report = run_fleet_load(
+            report = run_fleet_load(
                 shapes=[shape], sizes=[n], clients=clients,
                 requests_per_client=requests_per_client,
                 fleet_config=FleetConfig(
@@ -388,7 +389,6 @@ def tune_serve(
                         max_batch_size=batch_size, max_wait_ms=wait_ms,
                         seed=seed)),
                 ds_config=ds_config, seed=seed)
-            report = fleet_report
         else:
             report = run_load(
                 shape=shape, clients=clients,

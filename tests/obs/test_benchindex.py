@@ -61,9 +61,11 @@ class TestRows:
             requests = 60
             batch_size_mean = 3.5
             plan_hit_rate = 0.97
+            backend = "vectorized"
 
         row = row_from_load_report(FakeReport(), rev="abc", timestamp=2.0)
         assert row["backend"] == "serve" and row["shape"] == "chain"
+        assert row["kernel_backend"] == "vectorized"
         assert row["latency_p95_ms"] == 6.0 and row["rev"] == "abc"
 
 
@@ -140,9 +142,11 @@ class TestConcurrentAppends:
             scale_downs = 1
             routing_skew = 1.12
             plan_hit_rate = 0.98
+            backend = "simulated"
 
         row = row_from_fleet_run(FakeFleetReport(), rev="abc", timestamp=3.0)
         assert row["backend"] == "fleet"
+        assert row["kernel_backend"] == "simulated"
         assert row["shapes"] == "chain+compact"
         assert row["workers_peak"] == 4
         assert row["scale_ups"] == 1 and row["scale_downs"] == 1
