@@ -4,8 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test test-all bench bench-smoke bench-full bench-check \
         pipeline-smoke trace-smoke serve-smoke analyze-smoke tune-smoke \
-        stream-smoke fleet-smoke fleet-trace-overhead report figures \
-        examples clean
+        stream-smoke fleet-smoke fleet-trace-overhead perfbench-selftest \
+        report figures examples clean
 
 # Stamped into every BENCH_INDEX.json row so the trajectory report can
 # attribute each run to a commit.
@@ -100,6 +100,9 @@ tune-smoke:      ## bounded autotuner sweeps, acceptance-checked, then serve fro
 	  --n 1024 --clients 2 --requests 8 \
 	  --tuning-db benchmarks/results/TUNING_DB.json --check
 	$(PYTHON) -m pytest tests/tune tests/analysis tests/obs/test_benchindex.py -q
+
+perfbench-selftest: ## repo benchmark self-test: metric set + units, byte-exact oracle (a wrong answer drives ok_share below 1), real doors correct
+	$(PYTHON) perfbench/selftest.py
 
 report:          ## render the experiment-registry report from persisted artifacts
 	$(PYTHON) -m repro report -o benchmarks/results/REPORT.md

@@ -47,20 +47,18 @@ from repro.compiled.lowering import (
 from repro.core.coarsening import LaunchGeometry
 from repro.core.fastpath import (
     _base_counters,
-    _contiguous_store_accounting,
+    _defer_tile_accounting,
     _emit_wg_phases,
     _finalize_sync_structures,
     _finish,
-    _tile_load_accounting,
     _trace_begin,
     _trace_finish,
 )
-from repro.core.fused import FuseStage
+from repro.core.fused import FuseStage, _defer_fused_accounting
 from repro.core.predicates import Predicate
 from repro.simgpu.buffers import Buffer
 from repro.simgpu.counters import LaunchCounters
 from repro.simgpu.stream import Stream
-from repro.simgpu.vectorized import fused_chain_accounting
 
 __all__ = [
     "compiled_irregular_launch",
@@ -223,33 +221,18 @@ def compiled_irregular_launch(
     t0 = tracer.now_us() if tracer is not None else 0.0
     carry_val = np.zeros(grid + 1, dtype=array.data.dtype)
     carry_valid = np.zeros(grid + 1, dtype=np.int64)
-    n_true, kt, tile_prefix = _run_kernel(
+    _, kt, tile_prefix = _run_kernel(
         program, array.data, out.data,
         false_out.data if false_out is not None else None,
         geometry, n, carry_val, carry_valid,
     )
     t1 = tracer.now_us() if tracer is not None else 0.0
 
-    kept_before = np.cumsum(kt) - kt
-    n_act = kt.size
-
     c = _base_counters(kernel_name, grid, W, stream)
-    stencil_loads = grid - 1 if stencil_unique else 0
-    c.n_loads = grid * cf + stencil_loads
-    _tile_load_accounting(c, array, n, W, stencil_loads)
-
-    c.n_stores = n_act
-    _contiguous_store_accounting(c, out, kt, kept_before, n_true)
-    if false_out is not None:
-        sizes = np.full(n_act, W, dtype=np.int64)
-        sizes[-1] = n - (n_act - 1) * W
-        ft = sizes - kt
-        false_before = np.cumsum(ft) - ft
-        c.n_stores += int((ft > 0).sum())
-        _contiguous_store_accounting(c, false_out, ft, false_before, n - n_true)
-
-    c.n_atomics = 3 * grid
-    c.n_barriers = 3 * grid
+    _defer_tile_accounting(
+        c, kt, geometry, n, loads=[array], kept=[out],
+        false=[false_out] if false_out is not None else [],
+        stencil_unique=stencil_unique)
 
     _finalize_sync_structures(flags, wg_counter, grid, tile_prefix + 1)
     rec = stream.record(_finish_compiled(c))
@@ -285,35 +268,14 @@ def compiled_fused_launch(
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream,
                                        backend="compiled")
     t0 = tracer.now_us() if tracer is not None else 0.0
-    n_true, kt, tile_prefix = _run_kernel(
+    _, kt, tile_prefix = _run_kernel(
         program, array.data, array.data, None, geometry, n,
         carry.data, carry_valid.data,
     )
     t1 = tracer.now_us() if tracer is not None else 0.0
 
     c = _base_counters(kernel_name, grid, W, stream)
-    acct = fused_chain_accounting(
-        n, None, W, grid, cf,
-        itemsize=array.itemsize,
-        carry_itemsize=carry.itemsize,
-        valid_itemsize=carry_valid.itemsize,
-        transaction_bytes=array.transaction_bytes,
-        count_transactions=array.count_transactions,
-        round_kept=kt,
-    )
-    c.n_loads = acct["n_loads"]
-    c.n_stores = acct["n_stores"]
-    c.bytes_loaded = acct["bytes_loaded"]
-    c.bytes_stored = acct["bytes_stored"]
-    c.load_transactions = acct["load_transactions"]
-    c.store_transactions = acct["store_transactions"]
-    c.n_atomics = 3 * grid
-    c.n_barriers = 3 * grid
-
-    array.stats.loads_elems += n
-    array.stats.stores_elems += n_true
-    array.stats.load_transactions += acct["array_load_txns"]
-    array.stats.store_transactions += acct["array_store_txns"]
+    _defer_fused_accounting(c, array, kt, geometry, n, carry.itemsize)
     for buf in (carry, carry_valid):
         buf.stats.loads_elems += grid
         buf.stats.stores_elems += grid

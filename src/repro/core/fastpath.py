@@ -3,13 +3,26 @@
 Each function here is the fast-path twin of one generator kernel in
 :mod:`repro.core.regular`, :mod:`repro.core.irregular`,
 :mod:`repro.core.keyed` or :mod:`repro.simgpu.kernels`: it performs the
-same in-place data movement as a few whole-array NumPy operations and
-derives the :class:`~repro.simgpu.counters.LaunchCounters` the
-event-level scheduler would have produced (see
-:mod:`repro.simgpu.vectorized` for the arithmetic and its
-justification).  The side structures of a launch — the flag chain and
-the dynamic-ID cursor — are left in their post-kernel state, so host
-code that reads the compacted size back from the flags works unchanged.
+same in-place data movement as one pass of whole-array NumPy work plus
+O(n / wg_size) bookkeeping, and reports the
+:class:`~repro.simgpu.counters.LaunchCounters` the event-level
+scheduler would have produced (see :mod:`repro.simgpu.vectorized` for
+the arithmetic and its justification).  The side structures of a
+launch — the flag chain and the dynamic-ID cursor — are left in their
+post-kernel state, so host code that reads the compacted size back
+from the flags works unchanged.  (The fused chain's carry chain is not
+among them: it exists only on the simulated and compiled backends; see
+:mod:`repro.core.fused`.)
+
+**Counters are derived on first read.**  Event, atomic and barrier
+counts are set at launch; the byte and transaction fields of the
+irregular, keyed, fused and copy launches, and the transaction totals
+of the buffers' access statistics, come from a memoized
+:class:`~repro.simgpu.counters.Derivation` over the per-round kept
+counts and the buffers' access specs.  Nothing reads them on the serve
+path, so it never pays for them; every reader sees the eager values.
+(The regular launch prices its remapped stores from the kept positions
+themselves, so it stays eager rather than hold n-length state.)
 
 Correctness of the batched movement relies on two properties of the DS
 algorithms themselves:
@@ -17,8 +30,9 @@ algorithms themselves:
 * adjacent synchronization guarantees every work-group's loads observe
   *pristine* input, so evaluating predicates/remaps on the untouched
   array is exactly what the simulated kernels compute;
-* a NumPy fancy-index gather copies, so gather-then-scatter tolerates
-  the overlapping source/destination ranges of in-place slides.
+* a NumPy fancy-index or boolean gather copies, so gather-then-store
+  tolerates the overlapping source/destination ranges of in-place
+  slides without a snapshot of the input.
 
 Schedule-dependent quantities (``n_spins``, ``steps``,
 ``peak_resident``) are reported for the idealized schedule: zero failed
@@ -40,13 +54,16 @@ from repro.core.flags import FLAG_SET
 from repro.core.offsets import RegularRemap
 from repro.core.predicates import Predicate
 from repro.simgpu.buffers import Buffer
-from repro.simgpu.counters import LaunchCounters
+from repro.simgpu.counters import Derivation, LaunchCounters
 from repro.simgpu.stream import Stream
 from repro.simgpu.vectorized import (
-    contiguous_range_txns,
+    AccessSpec,
     contiguous_round_txns,
+    copy_accounting,
+    kept_per_tile,
     remapped_store_txns,
     round_kept_counts,
+    tile_launch_accounting,
 )
 
 __all__ = [
@@ -225,42 +242,59 @@ def _evaluate_keep(
     return np.asarray(predicate(vals), dtype=bool)
 
 
-def _contiguous_store_accounting(
-    c: LaunchCounters, buf: Buffer, kt: np.ndarray, bases: np.ndarray, n_elems: int
+def _spec(buf: Buffer) -> AccessSpec:
+    return (buf.itemsize, buf.transaction_bytes, buf.count_transactions)
+
+
+def _defer_tile_accounting(
+    c: LaunchCounters,
+    kt: np.ndarray,
+    geometry: LaunchGeometry,
+    total: int,
+    *,
+    loads: Sequence[Buffer],
+    kept: Sequence[Buffer],
+    false: Sequence[Buffer] = (),
+    stencil_unique: bool = False,
 ) -> None:
-    """Charge per-round stores of contiguous ranges ``[bases, bases+kt)``
-    to ``c`` and to ``buf``'s access statistics."""
-    c.bytes_stored += n_elems * buf.itemsize
-    txns = 0
-    if buf.count_transactions:
-        txns = contiguous_range_txns(
-            bases, bases + kt, buf.itemsize, buf.transaction_bytes
-        )
-    c.store_transactions += txns
-    buf.stats.stores_elems += n_elems
-    buf.stats.store_transactions += txns
+    """Fill ``c`` for an irregular-family launch from the per-round kept
+    counts ``kt``: event, atomic and barrier counts now, the byte and
+    transaction fields (and the buffers' transaction statistics) on
+    first read, from a :class:`~repro.simgpu.counters.Derivation` that
+    holds only ``kt`` and the buffers' access specs.
 
-
-def _tile_load_accounting(
-    c: LaunchCounters, buf: Buffer, total: int, W: int, stencil_loads: int = 0
-) -> None:
-    """Charge the coarsened tile loads over ``total`` elements (plus any
-    single-element stencil neighbour loads) to ``c`` and ``buf``."""
-    bytes_ = (total + stencil_loads) * buf.itemsize
-    c.bytes_loaded += bytes_
-    txns = 0
-    if buf.count_transactions:
-        txns = contiguous_round_txns(total, W, buf.itemsize, buf.transaction_bytes)
-        txns += stencil_loads  # one-element loads: one transaction each
-    c.load_transactions += txns
-    buf.stats.loads_elems += total + stencil_loads
-    buf.stats.load_transactions += txns
-
-
-def _kept_per_workgroup(keep: np.ndarray, grid: int, tile: int) -> np.ndarray:
-    padded = np.zeros(grid * tile, dtype=np.int64)
-    padded[: keep.size] = keep
-    return padded.reshape(grid, tile).sum(axis=1)
+    ``loads`` are read in coarsened tile rounds (the first also pays the
+    unique stencil's neighbour loads), ``kept`` receive the survivors
+    and ``false`` the predicate-false elements, as in
+    :func:`repro.simgpu.vectorized.tile_launch_accounting`.
+    """
+    grid, cf = geometry.n_workgroups, geometry.coarsening
+    n, W = int(total), geometry.wg_size
+    n_true = int(kt.sum())
+    stencil_loads = grid - 1 if stencil_unique else 0
+    n_act = kt.size  # ceil(n / W): rounds with any active lane
+    c.n_loads = grid * cf * len(loads) + stencil_loads
+    # The kept-store event fires even for empty rounds; false stores
+    # only when the round has a false element.
+    c.n_stores = n_act * len(kept)
+    if false:
+        round_sizes = np.minimum(W, n - np.arange(n_act) * W)
+        c.n_stores += int(np.count_nonzero(round_sizes - kt)) * len(false)
+    c.n_atomics = 3 * grid  # ID claim + successful poll + flag set
+    c.n_barriers = 3 * grid  # ID broadcast + sync local + sync global
+    derivation = Derivation(
+        tile_launch_accounting, n, kt, W,
+        loads=[_spec(b) for b in loads], kept=[_spec(b) for b in kept],
+        false=[_spec(b) for b in false], stencil_loads=stencil_loads)
+    c.defer(derivation)
+    for i, buf in enumerate(loads):
+        buf.stats.loads_elems += n + (stencil_loads if i == 0 else 0)
+        buf.stats.defer(derivation, load=("load", i))
+    for kind, bufs, elems in (("kept", kept, n_true),
+                              ("false", false, n - n_true)):
+        for i, buf in enumerate(bufs):
+            buf.stats.stores_elems += elems
+            buf.stats.defer(derivation, store=(kind, i))
 
 
 def vectorized_irregular_launch(
@@ -282,42 +316,28 @@ def vectorized_irregular_launch(
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
     t0 = tracer.now_us() if tracer is not None else 0.0
-    vals = array.data[:n].copy()  # snapshot: predicates see pristine input
+    vals = array.data[:n]
     keep = _evaluate_keep(vals, predicate, stencil_unique)
-    n_true = int(keep.sum())
-    out.data[:n_true] = vals[keep]
-    if false_out is not None:
-        false_out.data[: n - n_true] = vals[~keep]
+    kt = round_kept_counts(keep, W)  # kept per global round
+    # Both gathers copy before either store: an in-place partition
+    # overwrites the input its false gather reads.  (compress gathers
+    # through the nonzero indices, several times faster than boolean
+    # indexing on the mixed masks real predicates produce.)
+    kept = vals.compress(keep)
+    rejected = vals.compress(~keep) if false_out is not None else None
+    out.data[: kept.size] = kept
+    if rejected is not None:
+        false_out.data[: rejected.size] = rejected
     t1 = tracer.now_us() if tracer is not None else 0.0
 
-    kt = round_kept_counts(keep, W)  # kept per global round
-    kept_before = np.cumsum(kt) - kt
-    n_act = kt.size  # ceil(n / W): rounds with any active lane
-
     c = _base_counters(kernel_name, grid, W, stream)
-    stencil_loads = grid - 1 if stencil_unique else 0
-    c.n_loads = grid * cf + stencil_loads
-    _tile_load_accounting(c, array, n, W, stencil_loads)
-
-    c.n_stores = n_act  # the kept-store event fires even for empty rounds
-    _contiguous_store_accounting(c, out, kt, kept_before, n_true)
-    if false_out is not None:
-        sizes = np.full(n_act, W, dtype=np.int64)
-        sizes[-1] = n - (n_act - 1) * W
-        ft = sizes - kt
-        false_before = np.cumsum(ft) - ft
-        c.n_stores += int((ft > 0).sum())  # false stores only when needed
-        _contiguous_store_accounting(c, false_out, ft, false_before, n - n_true)
-
-    c.n_atomics = 3 * grid
-    c.n_barriers = 3 * grid
-
-    kept_per_wg = _kept_per_workgroup(keep, grid, geometry.tile_size)
+    _defer_tile_accounting(
+        c, kt, geometry, n, loads=[array], kept=[out],
+        false=[false_out] if false_out is not None else [],
+        stencil_unique=stencil_unique)
     _finalize_sync_structures(
-        flags,
-        wg_counter,
-        grid,
-        np.cumsum(kept_per_wg) + 1,  # encode_count applied vector-wide
+        flags, wg_counter, grid,
+        np.cumsum(kept_per_tile(kt, cf, grid)) + 1,  # encode_count, vector-wide
     )
     rec = stream.record(_finish(c))
     if tracer is not None:
@@ -345,40 +365,22 @@ def vectorized_keyed_launch(
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
     t0 = tracer.now_us() if tracer is not None else 0.0
-    key_vals = keys.data[:n].copy()
-    payload_vals = [p.data[:n].copy() for p in payloads]
-    keep = _evaluate_keep(key_vals, predicate, stencil_unique)
-    n_true = int(keep.sum())
-    keys.data[:n_true] = key_vals[keep]
-    for buf, vals in zip(payloads, payload_vals):
-        buf.data[:n_true] = vals[keep]
+    columns = [keys, *payloads]
+    keep = _evaluate_keep(keys.data[:n], predicate, stencil_unique)
+    kt = round_kept_counts(keep, W)
+    # Every gather copies before any store, so columns sharing storage
+    # still read pristine input.
+    gathered = [buf.data[:n].compress(keep) for buf in columns]
+    for buf, vals in zip(columns, gathered):
+        buf.data[: vals.size] = vals
     t1 = tracer.now_us() if tracer is not None else 0.0
 
-    kt = round_kept_counts(keep, W)
-    kept_before = np.cumsum(kt) - kt
-    n_act = kt.size
-
     c = _base_counters(kernel_name, grid, W, stream)
-    stencil_loads = grid - 1 if stencil_unique else 0
-    c.n_loads = grid * cf * (1 + len(payloads)) + stencil_loads
-    _tile_load_accounting(c, keys, n, W, stencil_loads)
-    for buf in payloads:
-        _tile_load_accounting(c, buf, n, W)
-
-    c.n_stores = n_act * (1 + len(payloads))
-    _contiguous_store_accounting(c, keys, kt, kept_before, n_true)
-    for buf in payloads:
-        _contiguous_store_accounting(c, buf, kt, kept_before, n_true)
-
-    c.n_atomics = 3 * grid
-    c.n_barriers = 3 * grid
-
-    kept_per_wg = _kept_per_workgroup(keep, grid, geometry.tile_size)
+    _defer_tile_accounting(c, kt, geometry, n, loads=columns, kept=columns,
+                           stencil_unique=stencil_unique)
     _finalize_sync_structures(
-        flags,
-        wg_counter,
-        grid,
-        np.cumsum(kept_per_wg) + 1,  # encode_count applied vector-wide
+        flags, wg_counter, grid,
+        np.cumsum(kept_per_tile(kt, cf, grid)) + 1,  # encode_count, vector-wide
     )
     rec = stream.record(_finish(c))
     if tracer is not None:
@@ -410,20 +412,13 @@ def vectorized_copy_launch(
     c = _base_counters(kernel_name, grid, wg_size, stream)
     n_act = (n + wg_size - 1) // wg_size
     c.n_loads = c.n_stores = n_act  # copy rounds skip empty tiles entirely
-    c.bytes_loaded = n * src.itemsize
-    c.bytes_stored = n * dst.itemsize
-    if src.count_transactions:
-        c.load_transactions = contiguous_round_txns(
-            n, wg_size, src.itemsize, src.transaction_bytes, base=src_base
-        )
-    if dst.count_transactions:
-        c.store_transactions = contiguous_round_txns(
-            n, wg_size, dst.itemsize, dst.transaction_bytes, base=dst_base
-        )
+    derivation = Derivation(copy_accounting, n, wg_size, _spec(src),
+                            _spec(dst), src_base, dst_base)
+    c.defer(derivation)
     src.stats.loads_elems += n
-    src.stats.load_transactions += c.load_transactions
+    src.stats.defer(derivation, load="load_transactions")
     dst.stats.stores_elems += n
-    dst.stats.store_transactions += c.store_transactions
+    dst.stats.defer(derivation, store="store_transactions")
     rec = stream.record(_finish(c))
     _trace_finish(tracer, launch_span, c)
     return rec

@@ -33,18 +33,22 @@ cascade is possible with a single stencil stage: dropping the first
 survivor never changes which element is the group's *last* survivor,
 so the outgoing carry is unaffected.
 
-Both backends implement the fusion: :func:`run_fused_irregular`
-dispatches to a generator kernel on the event-level scheduler or to a
-closed-form fast path (accounting arithmetic in
-:func:`repro.simgpu.vectorized.fused_chain_accounting`), with the
-schedule-invariant counters matching across backends like every other
-primitive's.
+Every backend implements the fusion: :func:`run_fused_irregular`
+dispatches to a generator kernel on the event-level scheduler, to the
+compiled chain kernel, or to a closed-form fast path that evaluates the
+chain stage by stage over compacted survivors (:func:`fused_select`)
+and keeps no carry chain at all — the carry exists only where work-groups
+run one tile at a time.  The compiled and fast paths share the
+accounting arithmetic of
+:func:`repro.simgpu.vectorized.fused_chain_accounting`, derived on first
+read, with the schedule-invariant counters matching across backends
+like every other primitive's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,16 +61,22 @@ from repro.core.predicates import Predicate
 from repro.errors import LaunchError
 from repro.perfmodel.collective_cost import collective_rounds_per_wg
 from repro.simgpu.buffers import Buffer
-from repro.simgpu.counters import LaunchCounters
+from repro.simgpu.counters import Derivation, LaunchCounters
 from repro.simgpu.events import Event
 from repro.simgpu.stream import Stream
-from repro.simgpu.vectorized import fused_chain_accounting, resolve_backend
+from repro.simgpu.vectorized import (
+    chain_round_counts,
+    fused_chain_accounting,
+    kept_per_tile,
+    resolve_backend,
+)
 from repro.simgpu.workgroup import WorkGroup
 
 __all__ = [
     "FuseStage",
     "FusedResult",
-    "fused_masks",
+    "FusedSelection",
+    "fused_select",
     "chain_kernel_name",
     "run_fused_irregular",
 ]
@@ -126,32 +136,43 @@ def _and_preds(vals: np.ndarray, preds: Sequence[Predicate]) -> np.ndarray:
     return mask
 
 
-def fused_masks(vals: np.ndarray, stages: Sequence[FuseStage]) -> List[np.ndarray]:
-    """Cumulative survivor masks after each stage, over the whole array.
+class FusedSelection(NamedTuple):
+    """The survivors of a fused chain, stage by stage."""
 
-    ``fused_masks(v, stages)[i]`` marks the elements of ``v`` surviving
-    stages ``0..i`` — exactly the elements the sequential execution of
-    those primitives would have kept.  The pipeline uses the
-    intermediate masks to resolve the futures of fused-away ops; the
-    last mask is the fused launch's output.
+    masks: List[np.ndarray]
+    """``masks[i]`` marks which elements of ``outputs[i - 1]`` (of the
+    input for ``i == 0``) survive stage ``i``."""
+    outputs: List[np.ndarray]
+    """``outputs[i]`` holds the input elements surviving stages
+    ``0..i``, in order — exactly what the sequential execution of those
+    primitives returns."""
+
+
+def fused_select(vals: np.ndarray, stages: Sequence[FuseStage]) -> FusedSelection:
+    """Evaluate a fused chain stage by stage over compacted survivors.
+
+    Each stage reads only the previous stage's survivors, so the chain
+    costs one pass over the input plus passes over ever-smaller
+    survivor arrays, and the unique stencil compares each survivor with
+    the previous one directly.  The pipeline resolves the futures of
+    fused-away ops from the intermediate outputs; the vectorized launch
+    stores the last output and derives its per-round counts from the
+    masks (:func:`repro.simgpu.vectorized.chain_round_counts`).
     """
-    vals = np.asarray(vals)
-    cur = np.ones(vals.size, dtype=bool)
-    out: List[np.ndarray] = []
+    cur = np.asarray(vals)
+    masks: List[np.ndarray] = []
+    outputs: List[np.ndarray] = []
     for stage in stages:
         if stage.kind == "pred":
-            cur = cur & np.asarray(stage.predicate(vals), dtype=bool)
+            mask = np.asarray(stage.predicate(cur), dtype=bool)
         else:
-            idx = np.flatnonzero(cur)
-            if idx.size:
-                sv = vals[idx]
-                keep = np.empty(sv.size, dtype=bool)
-                keep[0] = True
-                keep[1:] = sv[1:] != sv[:-1]
-                cur = cur.copy()
-                cur[idx[~keep]] = False
-        out.append(cur.copy())
-    return out
+            mask = np.empty(cur.size, dtype=bool)
+            mask[:1] = True
+            mask[1:] = cur[1:] != cur[:-1]
+        cur = cur.compress(mask)  # copies; faster than a boolean index
+        masks.append(mask)
+        outputs.append(cur)
+    return FusedSelection(masks, outputs)
 
 
 @dataclass
@@ -304,8 +325,7 @@ def fused_irregular_kernel(
 def _vectorized_fused_launch(
     array: Buffer,
     stages: Sequence[FuseStage],
-    carry: Buffer,
-    carry_valid: Buffer,
+    selection: Optional[FusedSelection],
     flags: Buffer,
     wg_counter: Buffer,
     geometry: LaunchGeometry,
@@ -313,8 +333,12 @@ def _vectorized_fused_launch(
     stream: Stream,
     kernel_name: str,
 ) -> LaunchCounters:
-    """Fast-path twin of :func:`fused_irregular_kernel`."""
-    from repro import obs as _obs
+    """Fast-path twin of :func:`fused_irregular_kernel`.
+
+    One pass over the data (the chain's :func:`fused_select`, unless the
+    caller already holds it, then one store) plus O(n / wg_size)
+    bookkeeping.
+    """
     from repro.core.fastpath import (
         _base_counters,
         _emit_wg_phases,
@@ -328,67 +352,59 @@ def _vectorized_fused_launch(
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
     t0 = tracer.now_us() if tracer is not None else 0.0
-    vals = array.data[:n].copy()
-    pre, has_stencil, _post = _split_stages(stages)
-    masks = fused_masks(vals, stages)
-    keep = masks[-1]
-    n_true = int(keep.sum())
-    array.data[:n_true] = vals[keep]
+    if selection is None:
+        selection = fused_select(array.data[:n], stages)
+    kt = chain_round_counts(selection.masks, W)
+    survivors = selection.outputs[-1]
+    array.data[: survivors.size] = survivors
     t1 = tracer.now_us() if tracer is not None else 0.0
 
+    # Counters are derived on first read, from kt alone.  Of the side
+    # structures only the flag chain is left as the kernel would leave
+    # it (run_fused_irregular reads n_true from it); the carry chain
+    # exists only on the simulated and compiled backends.
     c = _base_counters(kernel_name, grid, W, stream)
-    acct = fused_chain_accounting(
-        n, keep, W, grid, cf,
-        itemsize=array.itemsize,
-        carry_itemsize=carry.itemsize,
-        valid_itemsize=carry_valid.itemsize,
-        transaction_bytes=array.transaction_bytes,
-        count_transactions=array.count_transactions,
-    )
-    c.n_loads = acct["n_loads"]
-    c.n_stores = acct["n_stores"]
-    c.bytes_loaded = acct["bytes_loaded"]
-    c.bytes_stored = acct["bytes_stored"]
-    c.load_transactions = acct["load_transactions"]
-    c.store_transactions = acct["store_transactions"]
-    c.n_atomics = 3 * grid
-    c.n_barriers = 3 * grid
-
-    array.stats.loads_elems += n
-    array.stats.stores_elems += n_true
-    array.stats.load_transactions += acct["array_load_txns"]
-    array.stats.store_transactions += acct["array_store_txns"]
-    for buf in (carry, carry_valid):
-        buf.stats.loads_elems += grid
-        buf.stats.stores_elems += grid
-        if buf.count_transactions:
-            buf.stats.load_transactions += grid
-            buf.stats.store_transactions += grid
-
-    # Leave the side structures as the kernel would: the flag chain
-    # carries cumulative kept counts, the carry chain the last
-    # pre-stencil survivor of each prefix.
-    tile = geometry.tile_size
-    padded = np.zeros(grid * tile, dtype=np.int64)
-    padded[:n] = keep[:n]
-    kept_per_wg = padded.reshape(grid, tile).sum(axis=1)
+    _defer_fused_accounting(c, array, kt, geometry, n, array.itemsize)
     _finalize_sync_structures(flags, wg_counter, grid,
-                              np.cumsum(kept_per_wg) + 1)
-    p_survive = _and_preds(vals, pre) if has_stencil else keep
-    p_idx = np.flatnonzero(p_survive)
-    for g in range(grid):
-        hi = min((g + 1) * tile, n)
-        upto = p_idx[p_idx < hi]
-        if upto.size:
-            carry.data[g + 1] = vals[upto[-1]]
-            carry_valid.data[g + 1] = 1
-
+                              np.cumsum(kept_per_tile(kt, cf, grid)) + 1)
     rec = stream.record(_finish(c))
     if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=tile, wg_size=W,
+        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
                         coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
         _trace_finish(tracer, launch_span, c)
     return rec
+
+
+def _defer_fused_accounting(
+    c: LaunchCounters,
+    array: Buffer,
+    kt: np.ndarray,
+    geometry: LaunchGeometry,
+    total: int,
+    carry_itemsize: int,
+) -> None:
+    """Fill ``c`` for a fused launch from the per-round kept counts:
+    event counts now, bytes and transactions (and ``array``'s
+    transaction statistics) on first read.  Shared by the vectorized
+    and compiled backends."""
+    grid, cf = geometry.n_workgroups, geometry.coarsening
+    n = int(total)
+    c.n_loads = grid * cf + 2 * grid   # tile rounds + carry pair
+    c.n_stores = kt.size + 2 * grid    # one per active round + carry pair
+    c.n_atomics = 3 * grid
+    c.n_barriers = 3 * grid
+    derivation = Derivation(
+        fused_chain_accounting, n, kt, geometry.wg_size, grid,
+        itemsize=array.itemsize,
+        carry_itemsize=carry_itemsize,
+        valid_itemsize=np.dtype(np.int64).itemsize,
+        transaction_bytes=array.transaction_bytes,
+        count_transactions=array.count_transactions,
+    )
+    c.defer(derivation)
+    array.stats.loads_elems += n
+    array.stats.stores_elems += int(kt.sum())
+    array.stats.defer(derivation, load=("load", 0), store=("kept", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +423,20 @@ def run_fused_irregular(
     reduction_variant: str = "tree",
     scan_variant: str = "tree",
     backend: Optional[str] = None,
+    selection: Optional[FusedSelection] = None,
 ) -> FusedResult:
     """Execute a fused in-place filter chain on ``array``.
 
     Semantically identical to running each stage's primitive in
     sequence, but a **single** kernel launch: one load of the input,
-    one flag chain (carry-augmented), one store of the final
-    survivors.  Returns counts exactly like
-    :func:`repro.core.irregular.run_irregular_ds`.
+    one flag chain (carry-augmented on the simulated and compiled
+    backends), one store of the final survivors.  Returns counts
+    exactly like :func:`repro.core.irregular.run_irregular_ds`.
+
+    ``selection`` is :func:`fused_select` over ``array``'s first
+    ``total`` elements when the caller already holds it (the pipeline
+    computes it once per fused step); the vectorized launch then skips
+    re-evaluating the chain.  Other backends ignore it.
     """
     n = total if total is not None else array.size
     if n <= 0:
@@ -428,13 +450,17 @@ def run_fused_irregular(
         coarsening=coarsening)
     flags = make_flags(geometry.n_workgroups)
     counter = make_wg_counter()
-    carry = Buffer(np.zeros(geometry.n_workgroups + 1, dtype=array.data.dtype),
-                   "fuse_carry")
-    carry_valid = Buffer(
-        np.zeros(geometry.n_workgroups + 1, dtype=np.int64), "fuse_carry_valid")
     kernel_name = chain_kernel_name(stages)
     resolved = resolve_backend(backend)
     counters = None
+    if resolved != "vectorized":
+        # Only the per-work-group schedules pass a carry chain.
+        carry = Buffer(
+            np.zeros(geometry.n_workgroups + 1, dtype=array.data.dtype),
+            "fuse_carry")
+        carry_valid = Buffer(
+            np.zeros(geometry.n_workgroups + 1, dtype=np.int64),
+            "fuse_carry_valid")
     if resolved == "compiled":
         from repro.compiled.runner import compiled_fused_launch
 
@@ -446,8 +472,8 @@ def run_fused_irregular(
             resolved = "vectorized"
     if counters is None and resolved == "vectorized":
         counters = _vectorized_fused_launch(
-            array, stages, carry, carry_valid, flags, counter, geometry, n,
-            stream, kernel_name)
+            array, stages, selection, flags, counter, geometry, n, stream,
+            kernel_name)
     elif counters is None:
         counters = stream.launch(
             fused_irregular_kernel,

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.config import DSConfig, UNSET, resolve_config
-from repro.core.fused import fused_masks, run_fused_irregular
+from repro.core.fused import fused_select, run_fused_irregular
 from repro.errors import LaunchError
 from repro.futures import Future
 from repro.primitives.common import (
@@ -432,13 +432,14 @@ class Pipeline:
                 self._run_single(call, futures)
             return
         labels = [s.label for s in stages]
-        masks = fused_masks(values, stages)
+        selection = fused_select(values, stages)
         buf = Buffer(values, "pipeline_fused")
         fused = run_fused_irregular(
             buf, stages, self.stream, total=int(values.size),
             wg_size=cfg.wg_size, coarsening=cfg.coarsening,
             reduction_variant=cfg.reduction_variant,
             scan_variant=cfg.scan_variant, backend=cfg.backend,
+            selection=selection,
         )
         # Intermediate futures: their arrays were never materialized on
         # the device — the fused launch skipped them — so they resolve
@@ -447,8 +448,7 @@ class Pipeline:
         # previous stage's survivor count), matching the sequential
         # calls the fusion replaces.
         prev_kept = int(values.size)
-        for call, mask in zip(calls[:-1], masks[:-1]):
-            kept = values[mask]
+        for call, kept in zip(calls[:-1], selection.outputs[:-1]):
             n_kept = int(kept.size)
             futures[call.index]._resolve(PrimitiveResult(
                 output=kept,

@@ -230,6 +230,10 @@ class Server:
         self._batches: "_queue_mod.Queue" = _queue_mod.Queue()
         self._batcher: Optional[threading.Thread] = None
         self._workers: List[threading.Thread] = []
+        # One launch stream per worker, reset after every batch: the
+        # results already hold their counters, so a long-lived server
+        # keeps no launch history.
+        self._worker_streams: List[Stream] = []
         if autostart:
             self.start()
 
@@ -247,7 +251,9 @@ class Server:
             target=self._batch_loop, name="repro-serve-batcher", daemon=True)
         self._batcher.start()
         for i in range(self.config.num_workers):
-            w = threading.Thread(target=self._worker_loop, args=(i,),
+            stream = Stream(self.device, seed=self.config.seed + i)
+            self._worker_streams.append(stream)
+            w = threading.Thread(target=self._worker_loop, args=(stream,),
                                  name=f"repro-serve-worker-{i}", daemon=True)
             w.start()
             self._workers.append(w)
@@ -736,23 +742,24 @@ class Server:
 
     # -- workers -------------------------------------------------------
 
-    def _worker_loop(self, worker_id: int) -> None:
-        stream = Stream(self.device, seed=self.config.seed + worker_id)
+    def _worker_loop(self, stream: Stream) -> None:
         while True:
             batch = self._batches.get()
             if batch is None:
                 return
             try:
-                self._execute_batch(batch, stream, worker_id)
+                self._execute_batch(batch, stream)
             except BaseException as exc:  # pragma: no cover - last resort
                 for req in batch:
                     if req.state == DISPATCHED:
                         req.transition(DISPATCHED, FAILED)
                         self._count("serve.failed")
                         self._finalize(req, error=exc)
+            finally:
+                stream.reset()
 
-    def _execute_batch(self, batch: List[ServeRequest], stream: Stream,
-                       worker_id: int) -> None:
+    def _execute_batch(self, batch: List[ServeRequest],
+                       stream: Stream) -> None:
         # Deadline re-check at dispatch: expired-in-queue work is
         # dropped here, before any kernel runs.
         live = []

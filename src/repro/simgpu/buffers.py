@@ -26,7 +26,7 @@ test oracles.  On top of raw storage the buffer provides:
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Hashable, Optional, Union
 
 import numpy as np
 
@@ -49,29 +49,74 @@ def default_count_transactions() -> bool:
 
 
 class AccessStats:
-    """Mutable accumulator of memory-access statistics for one buffer."""
+    """Mutable accumulator of memory-access statistics for one buffer.
+
+    The fast backends add their transaction counts lazily: a launch
+    registers the :class:`~repro.simgpu.counters.Derivation` that also
+    backs its counters, and the first read of ``load_transactions`` or
+    ``store_transactions`` settles every pending contribution.
+    """
 
     __slots__ = (
         "loads_elems",
         "stores_elems",
-        "load_transactions",
-        "store_transactions",
+        "_load_transactions",
+        "_store_transactions",
         "atomic_ops",
+        "_pending",
     )
 
     def __init__(self) -> None:
-        self.loads_elems = 0
-        self.stores_elems = 0
-        self.load_transactions = 0
-        self.store_transactions = 0
-        self.atomic_ops = 0
+        self.reset()
 
     def reset(self) -> None:
         self.loads_elems = 0
         self.stores_elems = 0
-        self.load_transactions = 0
-        self.store_transactions = 0
+        self._load_transactions = 0
+        self._store_transactions = 0
         self.atomic_ops = 0
+        self._pending: Optional[list] = None
+
+    def defer(self, derivation, load: Optional[Hashable] = None,
+              store: Optional[Hashable] = None) -> None:
+        """Add ``derivation()[load]`` load transactions and
+        ``derivation()[store]`` store transactions on first read."""
+        if self._pending is None:
+            self._pending = []
+        self._pending.append((derivation, load, store))
+
+    def _settle(self) -> None:
+        pending, self._pending = self._pending, None
+        for derivation, load, store in pending:
+            values = derivation()
+            if load is not None:
+                self._load_transactions += values[load]
+            if store is not None:
+                self._store_transactions += values[store]
+
+    @property
+    def load_transactions(self) -> int:
+        if self._pending:
+            self._settle()
+        return self._load_transactions
+
+    @load_transactions.setter
+    def load_transactions(self, value: int) -> None:
+        if self._pending:
+            self._settle()
+        self._load_transactions = value
+
+    @property
+    def store_transactions(self) -> int:
+        if self._pending:
+            self._settle()
+        return self._store_transactions
+
+    @store_transactions.setter
+    def store_transactions(self, value: int) -> None:
+        if self._pending:
+            self._settle()
+        self._store_transactions = value
 
     def bytes_loaded(self, itemsize: int) -> int:
         return self.loads_elems * itemsize
@@ -131,17 +176,28 @@ class Buffer:
         self.data: np.ndarray = arr
         self.name = name
         self.transaction_bytes = int(transaction_bytes)
-        self.count_transactions = (
-            default_count_transactions()
-            if count_transactions is None
-            else bool(count_transactions)
-        )
+        self._count_transactions = (
+            None if count_transactions is None else bool(count_transactions))
         self.stats = AccessStats()
         self._expected_reader: Optional[np.ndarray] = None
         if self.transaction_bytes <= 0:
             raise LaunchError(f"buffer {name!r}: transaction_bytes must be positive")
 
     # -- basic properties ---------------------------------------------------
+
+    @property
+    def count_transactions(self) -> bool:
+        """Whether accesses are priced in transactions; ``None`` at
+        construction resolves to :func:`default_count_transactions` on
+        first use, so buffers that are never priced never read the
+        environment."""
+        if self._count_transactions is None:
+            self._count_transactions = default_count_transactions()
+        return self._count_transactions
+
+    @count_transactions.setter
+    def count_transactions(self, value: bool) -> None:
+        self._count_transactions = bool(value)
 
     @property
     def size(self) -> int:

@@ -8,14 +8,49 @@ use it to assert structural properties of the algorithms, for example
 that the regular DS kernel touches each input element exactly once in
 each direction, or that the Thrust-style pipeline really performs the
 extra passes the paper blames for its slowdown.
+
+The fast backends fill the byte and transaction fields lazily: a launch
+attaches a :class:`Derivation` holding its closed-form arithmetic and
+the per-round survivor counts it needs (O(grid), captured by value), and
+the fields are derived the first time anything reads them.  Serve and
+fleet traffic never reads them, so it never pays for them; every reader
+that does sees exactly the values an eager launch would have stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional
 
-__all__ = ["LaunchCounters", "launch_backend"]
+__all__ = ["LaunchCounters", "Derivation", "DERIVED_FIELDS", "launch_backend"]
+
+DERIVED_FIELDS = ("bytes_loaded", "bytes_stored",
+                  "load_transactions", "store_transactions")
+"""The :class:`LaunchCounters` fields a fast-path launch may defer."""
+
+
+class Derivation:
+    """A memoized closed-form derivation, evaluated on first call.
+
+    Holds ``fn`` and its arguments until the first call, then only the
+    resulting dict.  The arguments must be values (per-round counts,
+    itemsizes, flags), never live buffers, so a later launch that
+    rewrites the same buffers cannot change what an earlier one reports.
+    """
+
+    __slots__ = ("_pending", "_values")
+
+    def __init__(self, fn: Callable[..., dict], *args, **kwargs) -> None:
+        self._pending = (fn, args, kwargs)
+        self._values: Optional[dict] = None
+
+    def __call__(self) -> dict:
+        pending = self._pending  # one read: safe against a racing caller
+        if pending is not None:
+            fn, args, kwargs = pending
+            self._values = fn(*args, **kwargs)
+            self._pending = None
+        return self._values
 
 
 @dataclass
@@ -52,6 +87,38 @@ class LaunchCounters:
     @property
     def transactions(self) -> int:
         return self.load_transactions + self.store_transactions
+
+    def defer(self, derivation: Derivation) -> "LaunchCounters":
+        """Leave the :data:`DERIVED_FIELDS` to ``derivation``, evaluated
+        the first time one of them is read.  Fields set explicitly after
+        this call keep their assigned values."""
+        for name in DERIVED_FIELDS:
+            self.__dict__.pop(name, None)
+        self.__dict__["_derivation"] = derivation
+        return self
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes missing from the instance, which
+        # for the derived fields means a pending derivation.
+        if name in DERIVED_FIELDS:
+            derivation = self.__dict__.get("_derivation")
+            if derivation is not None:
+                values = derivation()
+                for field_name in DERIVED_FIELDS:
+                    self.__dict__.setdefault(field_name, values[field_name])
+                self.__dict__.pop("_derivation", None)
+            if name in self.__dict__:
+                return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self) -> dict:
+        # Pickled records (pool results) carry plain values.
+        for name in DERIVED_FIELDS:
+            getattr(self, name)  # settles any pending derivation
+        state = dict(self.__dict__)
+        state.pop("_derivation", None)
+        return state
 
     def merge(self, other: "LaunchCounters") -> "LaunchCounters":
         """Combine two launches (used to total a multi-kernel pipeline)."""
@@ -104,6 +171,14 @@ class LaunchCounters:
             f"{self.n_atomics} atomics, {self.n_spins} spins, "
             f"peak residency {self.peak_resident}"
         )
+
+
+# The derived fields live only in the instance dict, so a deferred one is
+# genuinely missing and __getattr__ runs; a class-level default would
+# shadow it.  The generated __init__ already holds its own defaults.
+for _name in DERIVED_FIELDS:
+    delattr(LaunchCounters, _name)
+del _name
 
 
 def launch_backend(counters: Iterable[LaunchCounters]) -> Optional[str]:

@@ -6,7 +6,9 @@ interpreter, not the algorithm, dominates the wall clock.  The
 vectorized backend (see :mod:`repro.core.fastpath`) performs each DS
 primitive as a handful of whole-array NumPy operations and *derives*
 the :class:`~repro.simgpu.counters.LaunchCounters` the simulated
-scheduler would have produced, using the arithmetic in this module.
+scheduler would have produced, using the arithmetic in this module —
+for the byte and transaction fields, on first read (see
+:class:`~repro.simgpu.counters.Derivation`).
 
 The derivations rest on structural facts of the DS kernels that do not
 depend on the schedule:
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +51,11 @@ __all__ = [
     "contiguous_range_txns",
     "remapped_store_txns",
     "round_kept_counts",
+    "chain_round_counts",
+    "kept_per_tile",
+    "tile_launch_accounting",
     "fused_chain_accounting",
+    "copy_accounting",
 ]
 
 BACKENDS = ("simulated", "vectorized", "compiled")
@@ -256,68 +262,165 @@ def remapped_store_txns(
 
 
 def round_kept_counts(keep: np.ndarray, wg_size: int) -> np.ndarray:
-    """Predicate-true elements per global round (``keep`` padded to a
-    whole number of rounds), for the irregular kernels' contiguous
-    output ranges."""
+    """Predicate-true elements per global round, for the irregular
+    kernels' contiguous output ranges.  One pass over the bool mask: the
+    whole rounds reduce as a ``(rounds, wg_size)`` byte view into 32-bit
+    sums (a round holds at most ``wg_size`` survivors), with no n-length
+    integer scratch."""
     keep = np.asarray(keep, dtype=bool)
-    n_rounds = (keep.size + wg_size - 1) // wg_size
-    padded = np.zeros(n_rounds * wg_size, dtype=np.int64)
-    padded[: keep.size] = keep
-    return padded.reshape(n_rounds, wg_size).sum(axis=1)
+    full = keep.size // wg_size
+    kt = np.empty(-(-keep.size // wg_size), dtype=np.int64)
+    kt[:full] = keep[: full * wg_size].view(np.uint8).reshape(
+        full, wg_size).sum(axis=1, dtype=np.uint32)
+    if full < kt.size:
+        kt[full] = np.count_nonzero(keep[full * wg_size:])
+    return kt
+
+
+def chain_round_counts(masks: Sequence[np.ndarray], wg_size: int) -> np.ndarray:
+    """Per-round survivor counts of a filter chain evaluated over
+    compacted survivors (:func:`repro.core.fused.fused_select`).
+
+    ``masks[0]`` covers the input; each later mask covers the previous
+    stage's survivors, which lie in round order, round ``k``'s as one
+    contiguous run of ``kt[k]`` elements.  Each later stage therefore
+    costs one segmented sum over its mask, and nothing n-length is
+    built beyond the masks themselves.
+    """
+    kt = round_kept_counts(masks[0], wg_size)
+    for mask in masks[1:]:
+        nonempty = kt > 0
+        starts = (np.cumsum(kt) - kt)[nonempty]
+        kt = np.zeros_like(kt)
+        if starts.size:
+            kt[nonempty] = np.add.reduceat(
+                np.asarray(mask, dtype=bool).view(np.uint8), starts,
+                dtype=np.uint32)
+    return kt
+
+
+def kept_per_tile(kt: np.ndarray, coarsening: int, grid: int) -> np.ndarray:
+    """Kept elements per work-group tile: ``kt`` summed over each tile's
+    ``coarsening`` rounds (work-group ``g`` owns rounds
+    ``[g * coarsening, (g + 1) * coarsening)``)."""
+    padded = np.zeros(grid * coarsening, dtype=np.int64)
+    padded[: kt.size] = kt
+    return padded.reshape(grid, coarsening).sum(axis=1)
+
+
+AccessSpec = Tuple[int, int, bool]
+"""``(itemsize, transaction_bytes, count_transactions)`` of one buffer
+access stream — the only buffer state the accounting needs."""
+
+
+def tile_launch_accounting(
+    total: int,
+    kt: np.ndarray,
+    wg_size: int,
+    *,
+    loads: Sequence[AccessSpec],
+    kept: Sequence[AccessSpec],
+    false: Sequence[AccessSpec] = (),
+    stencil_loads: int = 0,
+) -> dict:
+    """Byte and transaction fields of one irregular-family launch.
+
+    Every access in ``loads`` reads ``total`` elements in coarsened tile
+    rounds; the first also issues ``stencil_loads`` single-element
+    neighbour loads (one transaction each).  Every access in ``kept``
+    stores round ``k``'s ``kt[k]`` survivors as one contiguous range
+    after the survivors of earlier rounds; every access in ``false``
+    stores the round's predicate-false elements the same way.
+
+    Returns the four derived :class:`~repro.simgpu.counters.
+    LaunchCounters` fields plus each access's own transactions under
+    ``("load", i)``, ``("kept", i)`` and ``("false", i)``, which the
+    buffers' access statistics read.
+    """
+    n = int(total)
+    kt = np.asarray(kt, dtype=np.int64)
+    n_true = int(kt.sum())
+    per_round = {"kept": kt}
+    if false:
+        round_sizes = np.minimum(wg_size, n - np.arange(kt.size) * wg_size)
+        per_round["false"] = round_sizes - kt
+
+    def txns(kind: str, spec: AccessSpec) -> int:
+        itemsize, transaction_bytes, counted = spec
+        if not counted:
+            return 0
+        if kind == "load":
+            return contiguous_round_txns(n, wg_size, itemsize,
+                                         transaction_bytes)
+        counts = per_round[kind]
+        before = np.cumsum(counts) - counts
+        return contiguous_range_txns(before, before + counts, itemsize,
+                                     transaction_bytes)
+
+    out: dict = {}
+    for kind, specs in (("load", loads), ("kept", kept), ("false", false)):
+        for i, spec in enumerate(specs):
+            out[(kind, i)] = txns(kind, spec)
+    if loads[0][2]:
+        out[("load", 0)] += stencil_loads  # one transaction each
+    out["bytes_loaded"] = (n * sum(s[0] for s in loads)
+                           + stencil_loads * loads[0][0])
+    out["bytes_stored"] = (n_true * sum(s[0] for s in kept)
+                           + (n - n_true) * sum(s[0] for s in false))
+    out["load_transactions"] = sum(
+        out[("load", i)] for i in range(len(loads)))
+    out["store_transactions"] = sum(
+        out[(kind, i)] for kind, specs in (("kept", kept), ("false", false))
+        for i in range(len(specs)))
+    return out
 
 
 def fused_chain_accounting(
     total: int,
-    keep: Optional[np.ndarray],
+    kt: np.ndarray,
     wg_size: int,
     grid: int,
-    coarsening: int,
     *,
     itemsize: int,
     carry_itemsize: int,
     valid_itemsize: int,
     transaction_bytes: int,
     count_transactions: bool,
-    round_kept: Optional[np.ndarray] = None,
 ) -> dict:
-    """Closed-form counters of one fused irregular chain launch.
+    """Byte and transaction fields of one fused irregular chain launch.
 
-    A fused launch (:mod:`repro.core.fused`) behaves like one irregular
-    DS launch — coarsened tile loads, per-round contiguous kept stores
-    — plus the carry chain: every work-group loads its predecessor's
-    ``(carry, carry_valid)`` pair and stores its own, four
+    A fused launch (:mod:`repro.core.fused`) behaves like one in-place
+    irregular DS launch — coarsened tile loads, per-round contiguous
+    kept stores — plus the carry chain: every work-group loads its
+    predecessor's ``(carry, carry_valid)`` pair and stores its own, four
     single-element accesses per group, each touching one transaction
-    segment.  ``keep`` is the final survivor mask; the structural facts
-    this arithmetic relies on are the same schedule-invariant ones the
-    per-primitive fast paths use.  The compiled backend, whose kernel
-    tallies survivors per round natively instead of materializing a
-    mask, passes ``round_kept`` directly (``keep`` is then ignored).
+    segment.  ``kt`` holds the final survivors per global round; the
+    vectorized and compiled backends both derive it without the carry
+    chain, so only the itemsizes of the carry structures enter here.
+    Keys are those of :func:`tile_launch_accounting`.
     """
-    n = int(total)
-    if round_kept is not None:
-        kt = np.asarray(round_kept, dtype=np.int64)
-    else:
-        keep = np.asarray(keep, dtype=bool)
-        kt = round_kept_counts(keep, wg_size)
-    n_true = int(kt.sum())
-    kept_before = np.cumsum(kt) - kt
-    n_act = kt.size
+    spec = (itemsize, transaction_bytes, count_transactions)
+    out = tile_launch_accounting(total, kt, wg_size, loads=[spec],
+                                 kept=[spec])
     side_bytes = grid * (carry_itemsize + valid_itemsize)
-    out = {
-        "n_loads": grid * coarsening + 2 * grid,
-        "n_stores": n_act + 2 * grid,
-        "bytes_loaded": n * itemsize + side_bytes,
-        "bytes_stored": n_true * itemsize + side_bytes,
-        "load_transactions": 0,
-        "store_transactions": 0,
-        "array_load_txns": 0,
-        "array_store_txns": 0,
-    }
+    out["bytes_loaded"] += side_bytes
+    out["bytes_stored"] += side_bytes
     if count_transactions:
-        out["array_load_txns"] = contiguous_round_txns(
-            n, wg_size, itemsize, transaction_bytes)
-        out["array_store_txns"] = contiguous_range_txns(
-            kept_before, kept_before + kt, itemsize, transaction_bytes)
-        out["load_transactions"] = out["array_load_txns"] + 2 * grid
-        out["store_transactions"] = out["array_store_txns"] + 2 * grid
+        out["load_transactions"] += 2 * grid
+        out["store_transactions"] += 2 * grid
+    return out
+
+
+def copy_accounting(
+    n: int, wg_size: int, src: AccessSpec, dst: AccessSpec,
+    src_base: int, dst_base: int,
+) -> dict:
+    """Byte and transaction fields of the contiguous copy kernel
+    (``n`` elements, one load and one store per round)."""
+    out = {"bytes_loaded": n * src[0], "bytes_stored": n * dst[0]}
+    for kind, (itemsize, transaction_bytes, counted), base in (
+            ("load", src, src_base), ("store", dst, dst_base)):
+        out[f"{kind}_transactions"] = (
+            contiguous_round_txns(n, wg_size, itemsize, transaction_bytes,
+                                  base=base) if counted else 0)
     return out

@@ -321,26 +321,34 @@ class TestCompiledTierParity:
                                    wg_size=32, coarsening=2)
         assert_compiled_parity(rs, rc)
 
-    def test_fused_chain(self, rng, compiled_env, stream, maxwell):
+    def test_fused_chain(self, rng, compiled_env, maxwell):
         from repro.core.fused import FuseStage, run_fused_irregular
         from repro.simgpu.buffers import Buffer
         from repro.simgpu.stream import Stream
 
-        a = np.sort(rng.integers(0, 30, 1200)).astype(np.int64)
         stages = [FuseStage("pred", less_than(25)), FuseStage("stencil"),
                   FuseStage("pred", is_even())]
-        outputs, counters = [], []
-        for backend in ("simulated", "compiled"):
-            buf = Buffer(a.copy(), "fuse_in")
-            res = run_fused_irregular(
-                buf, stages, Stream(maxwell, seed=1234), backend=backend,
-                wg_size=32, coarsening=2)
-            outputs.append(buf.data[:res.n_true].copy())
-            counters.append(res.counters)
-        assert np.array_equal(outputs[0], outputs[1])
-        for field in PARITY_FIELDS:
-            assert getattr(counters[0], field) == getattr(counters[1], field)
-        assert counters[1].extras.get("compiled") == 1.0
+        backends = ("simulated", "vectorized", "compiled")
+        # wg_size=32 x coarsening=2 tiles hold 64 elements: 1280 ends
+        # exactly on a tile boundary and 1281 spills one element past it.
+        for n in (1200, 1280, 1281):
+            a = np.sort(rng.integers(0, 30, n)).astype(np.int64)
+            runs = []
+            for backend in backends:
+                buf = Buffer(a.copy(), "fuse_in")
+                res = run_fused_irregular(
+                    buf, stages, Stream(maxwell, seed=1234), backend=backend,
+                    wg_size=32, coarsening=2)
+                runs.append((buf.data[:res.n_true].copy(), res))
+            (sim_out, sim), rest = runs[0], runs[1:]
+            for backend, (out, res) in zip(backends[1:], rest):
+                assert np.array_equal(sim_out, out), (n, backend)
+                assert res.n_true == sim.n_true, (n, backend)
+                for field in PARITY_FIELDS:
+                    assert (getattr(res.counters, field)
+                            == getattr(sim.counters, field)), (n, backend, field)
+            assert rest[0][1].counters.extras.get("vectorized") == 1.0
+            assert rest[1][1].counters.extras.get("compiled") == 1.0
 
     def test_opaque_predicate_falls_back_per_launch(self, rng, compiled_env):
         """A predicate the lowering can't parse must still execute

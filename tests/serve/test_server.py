@@ -175,6 +175,23 @@ class TestIntrospection:
         srv.close()
         assert srv.metrics.get("serve.queue_depth").value == 0
 
+    def test_worker_streams_hold_at_most_one_batch(self, data):
+        # The results carry their own counters, so a long-lived server
+        # resets each worker's launch stream after every batch instead
+        # of accumulating records, batches and events forever.
+        srv = Server(_cfg(num_workers=2, max_batch_size=4),
+                     ds_config=DSConfig(backend="vectorized"))
+        futs = [srv.submit_chain([("compact", 0.0), "unique"], data)
+                for _ in range(200)]
+        for f in futs:
+            assert f.result(timeout=60).counters
+        srv.close()
+        assert len(srv._worker_streams) == 2
+        for stream in srv._worker_streams:
+            assert len(stream.batches) <= 1
+            assert stream.num_launches <= 4  # one fused launch per request
+            assert len(stream.dependencies) <= 4
+
     def test_stats_consistent_with_requests_in_flight(self, data):
         # Requests staged on a not-yet-started server are all visible in
         # the snapshot as queued (nothing lost, nothing double-counted).
