@@ -85,10 +85,12 @@ analyze-smoke:   ## trace fig13 -> analyzer decomposition check (sum==wall ±1%,
 	$(PYTHON) -m repro serve --shape compact --clients 4 --requests 8 \
 	  --n 256 --flight-overhead-check
 
-trace-smoke:     ## export + validate a Chrome trace of one experiment
+trace-smoke:     ## export + validate Chrome traces (incl. a 256-work-group vectorized launch: no wg: tracks, no phase spans)
 	$(PYTHON) -m repro trace fig13 -o /tmp/repro_trace_smoke.json --check
 	$(PYTHON) -m repro trace fig08 -o /tmp/repro_trace_smoke8.json \
 	  --elements 8192 --check
+	$(PYTHON) -m repro trace fig13 --backend vectorized --elements 1048576 \
+	  -o /tmp/repro_trace_smoke_vec.json --check
 
 tune-smoke:      ## bounded autotuner sweeps, acceptance-checked, then serve from the DB
 	REPRO_BACKEND=vectorized $(PYTHON) -m repro tune --fig fig13 \

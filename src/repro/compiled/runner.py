@@ -48,7 +48,6 @@ from repro.core.coarsening import LaunchGeometry
 from repro.core.fastpath import (
     _base_counters,
     _defer_tile_accounting,
-    _emit_wg_phases,
     _finalize_sync_structures,
     _finish,
     _trace_begin,
@@ -214,11 +213,10 @@ def compiled_irregular_launch(
         return None
     ensure_warm(array.data.dtype)
 
-    grid, W, cf = geometry.n_workgroups, geometry.wg_size, geometry.coarsening
+    grid, W = geometry.n_workgroups, geometry.wg_size
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream,
                                        backend="compiled")
-    t0 = tracer.now_us() if tracer is not None else 0.0
     carry_val = np.zeros(grid + 1, dtype=array.data.dtype)
     carry_valid = np.zeros(grid + 1, dtype=np.int64)
     _, kt, tile_prefix = _run_kernel(
@@ -226,7 +224,6 @@ def compiled_irregular_launch(
         false_out.data if false_out is not None else None,
         geometry, n, carry_val, carry_valid,
     )
-    t1 = tracer.now_us() if tracer is not None else 0.0
 
     c = _base_counters(kernel_name, grid, W, stream)
     _defer_tile_accounting(
@@ -236,10 +233,7 @@ def compiled_irregular_launch(
 
     _finalize_sync_structures(flags, wg_counter, grid, tile_prefix + 1)
     rec = stream.record(_finish_compiled(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
-                        coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
-        _trace_finish(tracer, launch_span, c)
+    _trace_finish(tracer, launch_span, c)
     return rec
 
 
@@ -263,16 +257,14 @@ def compiled_fused_launch(
         return None
     ensure_warm(array.data.dtype)
 
-    grid, W, cf = geometry.n_workgroups, geometry.wg_size, geometry.coarsening
+    grid, W = geometry.n_workgroups, geometry.wg_size
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream,
                                        backend="compiled")
-    t0 = tracer.now_us() if tracer is not None else 0.0
     _, kt, tile_prefix = _run_kernel(
         program, array.data, array.data, None, geometry, n,
         carry.data, carry_valid.data,
     )
-    t1 = tracer.now_us() if tracer is not None else 0.0
 
     c = _base_counters(kernel_name, grid, W, stream)
     _defer_fused_accounting(c, array, kt, geometry, n, carry.itemsize)
@@ -285,8 +277,5 @@ def compiled_fused_launch(
 
     _finalize_sync_structures(flags, wg_counter, grid, tile_prefix + 1)
     rec = stream.record(_finish_compiled(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
-                        coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
-        _trace_finish(tracer, launch_span, c)
+    _trace_finish(tracer, launch_span, c)
     return rec

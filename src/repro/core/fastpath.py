@@ -40,6 +40,12 @@ polls and maximal admission.  Everything else — bytes, transactions,
 event, atomic and barrier counts — is schedule-invariant and matches
 the simulated backend exactly (asserted by
 ``tests/primitives/test_backend_parity.py``).
+
+**Tracing records only what was measured.**  A traced fast-path launch
+emits one ``launch`` span covering the whole-array operation and
+nothing else: there is no per-work-group schedule to observe, so no
+``wg:`` track and no ``phase`` span.  The work-group timeline of
+Figure 7 belongs to the simulated scheduler alone.
 """
 
 from __future__ import annotations
@@ -83,60 +89,12 @@ def _trace_begin(kernel_name: str, grid: int, wg_size: int, stream: Stream,
         return None, None
     span_args = {"backend": backend, "grid_size": grid,
                  "wg_size": wg_size, "device": stream.device.name}
-    # Correlation attributes (request_id, batch_id) from obs.annotate —
-    # launch spans carry them, phase spans never do (span parity).
+    # Correlation attributes (request_id, batch_id) from obs.annotate.
     annotations = _obs.current_annotations()
     if annotations:
         span_args.update(annotations)
     sp = tracer.span(kernel_name, cat="launch", args=span_args)
     return tracer, sp
-
-
-def _emit_wg_phases(
-    tracer,
-    *,
-    grid: int,
-    tile: int,
-    wg_size: int,
-    coarsening: int,
-    total: int,
-    t0: float,
-    t1: float,
-    irregular: bool,
-) -> None:
-    """Emit the synthetic per-work-group phase spans of one launch.
-
-    The vectorized backend executes whole-array operations, so the real
-    timeline has only two measured intervals: the data movement
-    ``[t0, t1]`` and the side-structure finalization ``[t1, now]``.
-    Each work-group's track mirrors those intervals with the *same span
-    names and nesting* the simulated kernels emit — load / (reduce) /
-    sync / store, with one zero-width ``scan`` child per non-empty
-    store round — so span-tree comparisons across backends are
-    meaningful, exactly like counter parity.  Work-group ``g`` is
-    assigned tile ``g``; the simulated schedule permutes that
-    assignment across tracks, so comparisons treat tracks as a
-    multiset.
-    """
-    t_end = tracer.now_us()
-    tm = (t0 + t1) / 2.0
-    for g in range(grid):
-        track = _obs.wg_track(g)
-        tracer.add_span("load", track=track, start_us=t0, end_us=tm,
-                        cat="phase", args={"rounds": coarsening})
-        if irregular:
-            tracer.add_span("reduce", track=track, start_us=tm, end_us=tm,
-                            cat="phase")
-        tracer.add_span("sync", track=track, start_us=t1, end_us=t_end,
-                        cat="phase")
-        store = tracer.add_span("store", track=track, start_us=tm, end_us=t1,
-                                cat="phase")
-        if irregular:
-            remaining = total - g * tile
-            rounds = max(0, min(coarsening, -(-remaining // wg_size)))
-            for _ in range(rounds):
-                tracer.add_span("scan", track=track, start_us=tm, end_us=tm,
-                                cat="phase", parent=store)
 
 
 def _trace_finish(tracer, launch_span, c: LaunchCounters) -> None:
@@ -194,13 +152,11 @@ def vectorized_regular_launch(
     total = remap.total_in
     tracer, launch_span = _trace_begin(
         f"regular_ds[{remap.name}]", grid, W, stream)
-    t0 = tracer.now_us() if tracer is not None else 0.0
     positions = np.arange(total, dtype=np.int64)
     keep, out_pos = remap(positions)
     kept_pos = positions[keep]
     dest = out_pos[keep]
     array.data[dest] = array.data[kept_pos]  # gather copies: overlap-safe
-    t1 = tracer.now_us() if tracer is not None else 0.0
 
     c = _base_counters(f"regular_ds[{remap.name}]", grid, W, stream)
     itemsize, txb = array.itemsize, array.transaction_bytes
@@ -222,11 +178,7 @@ def vectorized_regular_launch(
         flags, wg_counter, grid, np.full(grid, FLAG_SET, dtype=flags.data.dtype)
     )
     rec = stream.record(_finish(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
-                        coarsening=cf, total=total, t0=t0, t1=t1,
-                        irregular=False)
-        _trace_finish(tracer, launch_span, c)
+    _trace_finish(tracer, launch_span, c)
     return rec
 
 
@@ -315,7 +267,6 @@ def vectorized_irregular_launch(
     grid, W, cf = geometry.n_workgroups, geometry.wg_size, geometry.coarsening
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
-    t0 = tracer.now_us() if tracer is not None else 0.0
     vals = array.data[:n]
     keep = _evaluate_keep(vals, predicate, stencil_unique)
     kt = round_kept_counts(keep, W)  # kept per global round
@@ -328,7 +279,6 @@ def vectorized_irregular_launch(
     out.data[: kept.size] = kept
     if rejected is not None:
         false_out.data[: rejected.size] = rejected
-    t1 = tracer.now_us() if tracer is not None else 0.0
 
     c = _base_counters(kernel_name, grid, W, stream)
     _defer_tile_accounting(
@@ -340,10 +290,7 @@ def vectorized_irregular_launch(
         np.cumsum(kept_per_tile(kt, cf, grid)) + 1,  # encode_count, vector-wide
     )
     rec = stream.record(_finish(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
-                        coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
-        _trace_finish(tracer, launch_span, c)
+    _trace_finish(tracer, launch_span, c)
     return rec
 
 
@@ -364,7 +311,6 @@ def vectorized_keyed_launch(
     grid, W, cf = geometry.n_workgroups, geometry.wg_size, geometry.coarsening
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
-    t0 = tracer.now_us() if tracer is not None else 0.0
     columns = [keys, *payloads]
     keep = _evaluate_keep(keys.data[:n], predicate, stencil_unique)
     kt = round_kept_counts(keep, W)
@@ -373,7 +319,6 @@ def vectorized_keyed_launch(
     gathered = [buf.data[:n].compress(keep) for buf in columns]
     for buf, vals in zip(columns, gathered):
         buf.data[: vals.size] = vals
-    t1 = tracer.now_us() if tracer is not None else 0.0
 
     c = _base_counters(kernel_name, grid, W, stream)
     _defer_tile_accounting(c, kt, geometry, n, loads=columns, kept=columns,
@@ -383,10 +328,7 @@ def vectorized_keyed_launch(
         np.cumsum(kept_per_tile(kt, cf, grid)) + 1,  # encode_count, vector-wide
     )
     rec = stream.record(_finish(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
-                        coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
-        _trace_finish(tracer, launch_span, c)
+    _trace_finish(tracer, launch_span, c)
     return rec
 
 

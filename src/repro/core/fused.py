@@ -341,7 +341,6 @@ def _vectorized_fused_launch(
     """
     from repro.core.fastpath import (
         _base_counters,
-        _emit_wg_phases,
         _finalize_sync_structures,
         _finish,
         _trace_begin,
@@ -351,13 +350,11 @@ def _vectorized_fused_launch(
     grid, W, cf = geometry.n_workgroups, geometry.wg_size, geometry.coarsening
     n = int(total)
     tracer, launch_span = _trace_begin(kernel_name, grid, W, stream)
-    t0 = tracer.now_us() if tracer is not None else 0.0
     if selection is None:
         selection = fused_select(array.data[:n], stages)
     kt = chain_round_counts(selection.masks, W)
     survivors = selection.outputs[-1]
     array.data[: survivors.size] = survivors
-    t1 = tracer.now_us() if tracer is not None else 0.0
 
     # Counters are derived on first read, from kt alone.  Of the side
     # structures only the flag chain is left as the kernel would leave
@@ -368,10 +365,7 @@ def _vectorized_fused_launch(
     _finalize_sync_structures(flags, wg_counter, grid,
                               np.cumsum(kept_per_tile(kt, cf, grid)) + 1)
     rec = stream.record(_finish(c))
-    if tracer is not None:
-        _emit_wg_phases(tracer, grid=grid, tile=geometry.tile_size, wg_size=W,
-                        coarsening=cf, total=n, t0=t0, t1=t1, irregular=True)
-        _trace_finish(tracer, launch_span, c)
+    _trace_finish(tracer, launch_span, c)
     return rec
 
 

@@ -15,7 +15,9 @@ sums to the launch wall by construction — the ±1% acceptance check in
 also attributes spin time along the Figure 7 adjacent-synchronization
 chain ("wg 37 spent 61% of the launch in sync_wait on wg 36") and, for
 serve traces, breaks each request's lifecycle into
-queue-wait → batch-window → plan → execute → finalize stages.
+queue-wait → batch-window → plan → execute → finalize stages.  Only
+simulated launches have work-group tracks; a vectorized or compiled
+launch is reported by its wall alone, as a whole-array launch.
 
 Entry points: :func:`load_trace` + :func:`analyze` for programmatic
 use, :func:`main` behind ``python -m repro analyze``.
@@ -693,11 +695,14 @@ def render_text(report: dict) -> str:
                     f"    {comp['name']} dtype={comp['dtype']} "
                     f"mode={comp['mode']}: {comp['wall_us']:.1f} us")
         for launch in proc["launches"]:
-            out.append(
-                f"  launch {launch['name']} "
-                f"[{launch.get('backend') or '?'}]: "
-                f"wall {launch['wall_us']:.1f} us, "
-                f"{launch['n_workgroups']} work-groups")
+            head = (f"  launch {launch['name']} "
+                    f"[{launch.get('backend') or '?'}]: "
+                    f"wall {launch['wall_us']:.1f} us, ")
+            if not launch["n_workgroups"]:
+                out.append(head + "whole-array launch "
+                           "(no per-work-group timeline)")
+                continue
+            out.append(head + f"{launch['n_workgroups']} work-groups")
             shares = launch["shares"]
             out.append(
                 "    aggregate: load " + _pct(shares["load"])
@@ -810,9 +815,13 @@ def main(argv=None) -> int:
             for problem in problems:
                 print(f"CHECK FAILED: {problem}", file=sys.stderr)
             return 1
-        n_launches = sum(len(p["launches"]) for p in report["processes"])
-        print(f"check ok: {n_launches} launches, all decompositions "
-              f"within 1% of launch wall")
+        launches = [launch for p in report["processes"]
+                    for launch in p["launches"]]
+        n_decomposed = sum(1 for launch in launches
+                           if launch["n_workgroups"])
+        print(f"check ok: {n_decomposed} launches decomposed per "
+              f"work-group, all within 1% of launch wall; "
+              f"{len(launches) - n_decomposed} whole-array launches")
     return 0
 
 

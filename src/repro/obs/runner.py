@@ -6,9 +6,10 @@ primary DS primitive, executes each under a fresh
 combined Chrome-trace document — one *process* per backend, one
 *thread* per work-group — plus the aggregate metrics.  Load the file in
 ``chrome://tracing`` or https://ui.perfetto.dev to see the schedule:
-phase spans along every work-group track, ``sync_wait`` gaps on the
-Figure 7 synchronization chain, and the single-launch structure the
-paper's algorithms are about.
+on the simulated backend, phase spans along every work-group track and
+``sync_wait`` gaps on the Figure 7 synchronization chain; on every
+backend, the single-launch structure the paper's algorithms are about
+(a vectorized or compiled launch is one whole-array ``launch`` span).
 """
 
 from __future__ import annotations
@@ -146,8 +147,10 @@ def trace_experiment(
 
 def _check_structure(tracers: Dict[str, _tracer.Tracer]) -> None:
     """Assert the structural guarantees the exported trace advertises:
-    a root primitive span per backend, per-work-group tracks, and (for
-    the simulated backend) launch spans on the host track."""
+    a root primitive span and labelled launch spans per backend;
+    per-work-group tracks on the simulated backend, and on every other
+    backend no work-group track and no phase span (its launches run
+    whole-array and have no work-group timeline to show)."""
     for name, t in tracers.items():
         prims = t.find_spans(cat="primitive")
         if not prims:
@@ -156,8 +159,14 @@ def _check_structure(tracers: Dict[str, _tracer.Tracer]) -> None:
         if not launches:
             raise ReproError(f"{name}: trace has no launch span")
         wg_tracks = [tr for tr in t.tracks if tr.startswith("wg:")]
-        if not wg_tracks:
-            raise ReproError(f"{name}: trace has no work-group tracks")
+        if name == "simulated":
+            if not wg_tracks:
+                raise ReproError(f"{name}: trace has no work-group tracks")
+        elif wg_tracks or t.find_spans(cat="phase"):
+            raise ReproError(
+                f"{name}: whole-array launches have no work-group "
+                f"timeline, but the trace has work-group tracks or "
+                f"phase spans")
         for launch in launches:
             if launch.args.get("backend") != name:
                 raise ReproError(

@@ -31,10 +31,11 @@ Spans carry a ``cat`` used by consumers to select subsets: ``primitive``
 (root span per primitive call), ``launch`` (one kernel launch),
 ``pipeline`` (multi-launch baseline pipelines), ``phase`` (the
 algorithm phases ``load`` / ``reduce`` / ``sync`` / ``scan`` /
-``store``, emitted identically by both execution backends) and
-``sched`` (schedule-dependent spans such as ``sync_wait``, excluded
-from backend-equivalence comparisons exactly like ``n_spins`` is
-excluded from counter parity).
+``store``) and ``sched`` (schedule-dependent spans such as
+``sync_wait``).  Only the simulated backend has a per-work-group
+schedule, so only it writes ``phase`` and ``sched`` spans and ``wg:``
+tracks; a vectorized or compiled launch is one measured ``launch``
+span.
 """
 
 from __future__ import annotations
@@ -377,9 +378,9 @@ class Tracer:
                  end_us: float, cat: str = "span",
                  args: Optional[dict] = None,
                  parent: Optional[Span] = None) -> Span:
-        """Record a span with explicit timestamps (used by the
-        vectorized backend to emit per-work-group phase spans that
-        mirror the whole-array operation intervals)."""
+        """Record a span with explicit, already-measured timestamps
+        (request and stream-shard lifecycles timed off the span
+        stack)."""
         sp = Span(name, cat, track, float(start_us), args, None)
         sp.end_us = float(end_us)
         if parent is not None:

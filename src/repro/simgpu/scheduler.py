@@ -149,8 +149,7 @@ def launch(
         span_args = {"backend": "simulated", "grid_size": grid_size,
                      "wg_size": wg_size, "device": device.name}
         # Correlation attributes (request_id, batch_id) pushed by the
-        # serve/pipeline layers via obs.annotate; phase spans stay
-        # annotation-free to preserve backend span parity.
+        # serve/pipeline layers via obs.annotate ride on the launch span.
         annotations = _obs.current_annotations()
         if annotations:
             span_args.update(annotations)

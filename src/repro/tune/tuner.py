@@ -230,7 +230,8 @@ def tune_kernel(
 
     ``ops`` uses the loadgen spelling (``(("compact", 0.0), "unique")``);
     ``budget`` bounds the number of *trials* (each trial runs the
-    workload ``samples`` untimed-median times plus one traced run).
+    workload ``samples`` untimed-median times, plus one traced run for
+    the spin+idle tie-break on the simulated backend only).
     The baseline (the caller's config untouched) is always trial #1, so
     ``best_score.wall_ms <= baseline_score.wall_ms`` by construction.
     When ``db`` is given the winner persists under the plan-cache-style
@@ -260,6 +261,9 @@ def tune_kernel(
         p.run()
         return prev
 
+    # Only the simulated backend has a work-group timeline for the
+    # tie-break to read; elsewhere every trial's share would be 0.0.
+    traced = resolved == "simulated"
     tried = set()
     trials: List[Trial] = []
     best: Optional[Trial] = None
@@ -276,7 +280,7 @@ def tune_kernel(
         cfg = base.replace(**config_knobs) if config_knobs else base
         start_us = rec.now_us()
         score = measure_kernel_trial(lambda: run_once(cfg, fuse),
-                                     samples=samples)
+                                     samples=samples, trace=traced)
         t = Trial(dict(knobs), score)
         trials.append(t)
         improved = best is not None and better(score, best.score)

@@ -73,8 +73,9 @@ class TestCli:
                      "--check"]) == 0
         records = [json.loads(line)
                    for line in jsonl.read_text().splitlines()]
-        assert any(r["type"] == "span" and r["cat"] == "phase"
-                   for r in records)
+        spans = [r for r in records if r["type"] == "span"]
+        assert sum(r["cat"] == "launch" for r in spans) == 1
+        assert not any(r["cat"] == "phase" for r in spans)
 
     def test_trace_unknown_experiment_exits_with_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -112,6 +112,29 @@ class TestRealTraceBothBackends:
                 assert wg["sum_ratio"] == pytest.approx(1.0, abs=0.01)
 
 
+class TestWholeArrayLaunch:
+    def test_vectorized_launch_renders_without_workgroups(
+            self, tmp_path, capsys, rng):
+        from repro.config import DSConfig
+        x = rng.integers(0, 3, 1 << 16).astype(np.float32)
+        with obs.tracing("spans") as tracer:
+            ds_stream_compact(x, 0.0, config=DSConfig(backend="vectorized"))
+        path = tmp_path / "trace.json"
+        export_chrome_trace(tracer, path)
+        (launch,) = analyze(str(path))["processes"][0]["launches"]
+        assert launch["n_workgroups"] == 0
+
+        assert main([str(path), "--check"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [ln for ln in out.splitlines()
+                   if ln.lstrip().startswith("launch ")]
+        assert line.endswith(
+            "whole-array launch (no per-work-group timeline)")
+        assert "aggregate" not in out and " wg " not in out
+        assert ("check ok: 0 launches decomposed per work-group, all "
+                "within 1% of launch wall; 1 whole-array launches") in out
+
+
 class TestServeLifecycle:
     def test_request_stages_in_order(self, tmp_path):
         clock = FakeClock()

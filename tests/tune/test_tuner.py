@@ -114,6 +114,27 @@ class TestTuneKernel:
         assert len(tracer.find_spans("tune.sweep")) == 1
         assert len(tracer.find_spans("tune.trial")) == 4
 
+    def test_tie_break_trace_only_on_simulated(self, array, monkeypatch):
+        from repro.tune import objective
+        analyzed = []
+        real = objective.analyze_tracer
+
+        def counting(tracer, **kwargs):
+            analyzed.append(tracer)
+            return real(tracer, **kwargs)
+
+        monkeypatch.setattr(objective, "analyze_tracer", counting)
+        result = tune_kernel((("compact", 0.0),), array,
+                             backend="vectorized", space=SMALL,
+                             budget=3, samples=1)
+        assert analyzed == []
+        assert all(t.score.spin_idle_share == 0.0 for t in result.trials)
+
+        result = tune_kernel((("compact", 0.0),), array[:256],
+                             backend="simulated", space=SMALL,
+                             budget=2, samples=1)
+        assert len(analyzed) == result.budget_used == 2
+
     def test_fig_workloads(self):
         ops, array, config = make_fig_workload("fig13", n=2048)
         assert array.size == 2048 and config.seed == 8
