@@ -50,20 +50,32 @@ serve-smoke:     ## serve layer: healthy + fault-injected loadgen, acceptance-ch
 	  benchmarks/bench_serve_load.py --benchmark-only
 	$(PYTHON) -m pytest tests/serve -q
 
-stream-smoke:    ## out-of-core streaming: memmap 8x device capacity, compact->unique, sequential + pool, byte-checked
+stream-smoke:    ## out-of-core streaming: memmap 8x device capacity, compact->unique, one process (no pool run), byte-checked
 	REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m repro stream --check \
 	  --trace /tmp/repro_stream_smoke.json --bench-dir benchmarks/results
 	$(PYTHON) -m repro analyze /tmp/repro_stream_smoke.json > /dev/null
 	$(PYTHON) -m pytest tests/stream -q
 
-fleet-smoke:     ## multi-process fleet: 3 workers, fault-injected loadgen, acceptance pass (incl. merged trace + fleet bundle) + CLI replay + analyze --check on the merged trace
+fleet-smoke:     ## multi-process fleet: 3 workers, fault-injected loadgen, acceptance pass (incl. merged trace + fleet bundle) + CLI replay + analyze --check on the merged trace; asserts zero resource_tracker warnings and no leftover psm_* segments
 	rm -rf /tmp/repro_fleet_smoke_incidents
-	timeout 600 env REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m repro fleet \
+	ls /dev/shm 2>/dev/null | grep '^psm_' | sort \
+	  > /tmp/repro_fleet_smoke_shm_before || true
+	# The pipe is read to EOF, which also waits for the resource tracker
+	# (it inherits stderr and reports leaks after the router exits).
+	{ timeout 600 env REPRO_GIT_REV=$(GIT_REV) $(PYTHON) -m repro fleet \
 	  --check --workers 3 --fault 0.5 \
 	  --incident-dir /tmp/repro_fleet_smoke_incidents \
 	  --trace-out /tmp/repro_fleet_smoke_trace.json \
 	  --stats-out /tmp/repro_fleet_smoke_stats.json \
-	  --bench-dir benchmarks/results
+	  --bench-dir benchmarks/results; \
+	  echo $$? > /tmp/repro_fleet_smoke_rc; } 2>&1 \
+	  | tee /tmp/repro_fleet_smoke_output.txt
+	test "$$(cat /tmp/repro_fleet_smoke_rc)" = 0
+	! grep -n resource_tracker /tmp/repro_fleet_smoke_output.txt
+	ls /dev/shm 2>/dev/null | grep '^psm_' | sort \
+	  | comm -13 /tmp/repro_fleet_smoke_shm_before - \
+	  > /tmp/repro_fleet_smoke_shm_new || true
+	! grep . /tmp/repro_fleet_smoke_shm_new
 	$(PYTHON) -m repro analyze /tmp/repro_fleet_smoke_stats.json > /dev/null
 	timeout 120 $(PYTHON) -m repro analyze \
 	  /tmp/repro_fleet_smoke_trace.json --check > /dev/null

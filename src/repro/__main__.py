@@ -213,9 +213,9 @@ def main(argv=None) -> int:
               "session (see docs/fleet.md)")
         print("  serve [--shape ... --clients N --fault always --check]   "
               "drive the micro-batching serve layer (see docs/serving.md)")
-        print("  stream [--elements N --workers N --trace PATH --check]   "
-              "out-of-core sharded streaming smoke over a memmap "
-              "(see docs/streaming.md)")
+        print("  stream [--elements N --trace PATH --check]   "
+              "out-of-core sharded streaming smoke over a memmap, one "
+              "process (see docs/streaming.md)")
         print("  fleet [--workers N --clients N --check]   "
               "multi-process serve cluster with consistent-hash plan "
               "routing and autoscaling (see docs/fleet.md)")

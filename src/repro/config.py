@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from repro.errors import LaunchError
+from repro.errors import ConfigError, LaunchError
 from repro.simgpu.vectorized import resolve_backend
 
 __all__ = ["DSConfig", "UNSET", "resolve_config", "DEFAULT_CONFIG"]
@@ -60,6 +60,18 @@ _SCAN_VARIANTS = ("tree", "ballot", "shuffle", "lookback")
 
 _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
+
+
+def reject_removed_env(env) -> None:
+    """Raise :class:`~repro.errors.ConfigError` if ``env`` sets a
+    variable whose knob was removed.  The value comes from outside the
+    program, so it is rejected rather than silently ignored."""
+    if env.get("REPRO_SHARD_WORKERS", "").strip():
+        raise ConfigError(
+            "REPRO_SHARD_WORKERS is set, but the shard worker pool "
+            "(shard_workers) was removed: it lost to sequential streaming "
+            "at every measured size, and out-of-core inputs now always "
+            "stream in-process; unset the variable")
 
 
 def _env_int(name: str, raw: str, minimum: Optional[int] = None) -> int:
@@ -120,9 +132,6 @@ class DSConfig:
         capacity the out-of-core engine (:mod:`repro.stream`) splits
         inputs into; ``None`` uses
         :data:`repro.stream.engine.DEFAULT_SHARD_ELEMS`.
-    shard_workers:
-        Forked worker processes for the streaming pool (0 = stream
-        sequentially in-process).
     double_buffer:
         Overlap the next shard's load with the current shard's compute
         in the sequential streaming engine.
@@ -136,7 +145,6 @@ class DSConfig:
     backend: Optional[str] = None
     seed: int = 0
     shard_elems: Optional[int] = None
-    shard_workers: int = 0
     double_buffer: bool = True
 
     def __post_init__(self) -> None:
@@ -148,9 +156,6 @@ class DSConfig:
         if self.shard_elems is not None and int(self.shard_elems) <= 0:
             raise LaunchError(
                 f"shard_elems must be positive or None, got {self.shard_elems}")
-        if int(self.shard_workers) < 0:
-            raise LaunchError(
-                f"shard_workers must be >= 0, got {self.shard_workers}")
         if self.backend is not None:
             # Normalize shorthands eagerly so configs compare (and hash)
             # by meaning: DSConfig(backend="vec") == DSConfig(backend="vectorized").
@@ -173,10 +178,11 @@ class DSConfig:
         ``REPRO_REDUCTION_VARIANT``, ``REPRO_SCAN_VARIANT``,
         ``REPRO_RACE_TRACKING`` (0/1/true/false), ``REPRO_BACKEND``,
         ``REPRO_SEED``, ``REPRO_SHARD_ELEMS`` (>= 1),
-        ``REPRO_SHARD_WORKERS`` (>= 0), ``REPRO_SHARD_DOUBLE_BUFFER``
-        (boolean).  A malformed value raises :class:`ValueError`
-        naming the offending variable immediately, instead of failing
-        deep inside a later kernel launch.
+        ``REPRO_SHARD_DOUBLE_BUFFER`` (boolean).  A malformed value
+        raises :class:`ValueError` naming the offending variable
+        immediately, instead of failing deep inside a later kernel
+        launch; a set ``REPRO_SHARD_WORKERS`` raises
+        :class:`~repro.errors.ConfigError` (see :func:`reject_removed_env`).
 
         **Tuned resolution mode**: ``REPRO_TUNED=1`` additionally
         consults the autotuner database (``REPRO_TUNING_DB``, default
@@ -189,6 +195,7 @@ class DSConfig:
         :class:`~repro.errors.ReproError` naming the file.
         """
         env = os.environ if environ is None else environ
+        reject_removed_env(env)
 
         def _get(name):
             raw = env.get(name, "")
@@ -223,9 +230,6 @@ class DSConfig:
         if _get("REPRO_SHARD_ELEMS"):
             kwargs["shard_elems"] = _env_int(
                 "REPRO_SHARD_ELEMS", _get("REPRO_SHARD_ELEMS"), minimum=1)
-        if _get("REPRO_SHARD_WORKERS"):
-            kwargs["shard_workers"] = _env_int(
-                "REPRO_SHARD_WORKERS", _get("REPRO_SHARD_WORKERS"), minimum=0)
         if _get("REPRO_SHARD_DOUBLE_BUFFER"):
             kwargs["double_buffer"] = _env_bool(
                 "REPRO_SHARD_DOUBLE_BUFFER", _get("REPRO_SHARD_DOUBLE_BUFFER"))

@@ -19,8 +19,9 @@ The primary input goes through the unified
 exactly as before, while out-of-core inputs — memmaps, shared-memory
 handles, shard iterators, or explicit ``DSSource`` objects — are
 streamed shard-by-shard through :func:`repro.stream.engine.stream_run`
-(``config.shard_elems`` / ``shard_workers`` control shard size and the
-worker pool).
+(``config.shard_elems`` sets the shard size).  An empty primary input
+returns the reference result without a launch
+(:meth:`~repro.primitives.opspec.OpDescriptor.run`).
 """
 
 from __future__ import annotations
@@ -63,4 +64,4 @@ def ds(
             return stream_run([(desc, tuple(args[1:]), dict(kwargs))],
                               source, stream=stream, config=config)
         args = (source.materialize(),) + args[1:]
-    return desc.runner(*args, stream=stream, config=config, **kwargs)
+    return desc.run(*args, stream=stream, config=config, **kwargs)

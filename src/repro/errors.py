@@ -27,6 +27,9 @@ able to distinguish the interesting sub-cases:
   the :mod:`repro.serve` micro-batching service layer.  They are typed
   so callers can implement backpressure (retry-later on
   ``Overloaded``) without string-matching messages.
+* :class:`ConfigError` — a configuration value that came from outside
+  the program (an environment variable) is malformed or names a
+  removed knob.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "ResourceError",
     "ModelError",
     "WorkloadError",
+    "ConfigError",
     "ServeError",
     "Overloaded",
     "DeadlineExceeded",
@@ -105,6 +109,12 @@ class ModelError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload generator received inconsistent parameters."""
+
+
+class ConfigError(ReproError, ValueError):
+    """A configuration read from the environment is malformed or names
+    a knob that no longer exists.  A :class:`ValueError` too, so callers
+    that catch bad config values keep working."""
 
 
 class ServeError(ReproError):

@@ -6,7 +6,7 @@ process is the bottleneck; this package is the next step up.  A
 :class:`~repro.serve.Server` — and routes requests by consistent-hashing
 their batch key (:class:`~repro.fleet.hashring.HashRing`, bounded
 loads), so identical traffic always lands on a warm plan cache.
-Payloads move zero-copy through shared memory
+Payloads ride the worker queues by value
 (:mod:`repro.fleet.transport`); worker health rolls up into one fleet
 view (:meth:`Fleet.stats`, :mod:`repro.obs.rollup`); an autoscaler
 (:mod:`repro.fleet.autoscaler`) grows and drains the pool with

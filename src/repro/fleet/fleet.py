@@ -11,10 +11,13 @@ worker whose plan cache is already warm for it; the bounded-loads ring
 (:class:`repro.fleet.hashring.HashRing`) keeps the key placement within
 ``load_factor`` of the mean at the same time.
 
-Payloads and responses cross the process boundary as shared-memory
-descriptors (:mod:`repro.fleet.transport`) — the queues only ever carry
-tuples of scalars.  Op chains cross by *name* with predicate
-probe-verification at submit.
+Payloads and responses cross the process boundary on the per-worker
+inbox and the shared outbox themselves (:mod:`repro.fleet.transport`):
+an in-core array is snapshotted at submit and rides the queue by value,
+so the fleet creates no shared-memory segment of its own and leaves
+nothing behind for the resource tracker to report, even when a worker
+is killed.  Out-of-core inputs cross by path or segment name.  Op
+chains cross by *name* with predicate probe-verification at submit.
 
 Lifecycle: :meth:`grow` forks a worker, rebalances the ring, and
 re-primes the new owner for every warm key that moved *before* traffic
@@ -56,6 +59,7 @@ import multiprocessing
 import os
 import threading
 import time
+from multiprocessing import resource_tracker
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -67,7 +71,7 @@ from repro.errors import FleetError
 from repro.fleet.autoscaler import Autoscaler, TickSnapshot
 from repro.fleet.config import FleetConfig
 from repro.fleet.hashring import HashRing
-from repro.fleet.transport import freeze_ops, fetch_result, stage_payload
+from repro.fleet.transport import freeze_ops, stage_payload
 from repro.fleet.worker import worker_main
 from repro.obs.distrib import (ClockSync, SpanRing, calibrate,
                                merge_fleet_trace)
@@ -77,10 +81,18 @@ from repro.obs.tracer import new_span_id, new_trace_id
 from repro.primitives.common import DEFAULT_DEVICE, PrimitiveResult
 from repro.serve.request import OpStage, make_batch_key
 from repro.serve.server import _chain_spec
-from repro.stream.pool import fork_unavailable_reason
 from repro.stream.source import as_source
 
-__all__ = ["Fleet", "FleetFuture"]
+__all__ = ["Fleet", "FleetFuture", "fork_unavailable_reason"]
+
+
+def fork_unavailable_reason() -> Optional[str]:
+    """Why fleet workers cannot be forked here (``None`` when they can):
+    predicate closures reach the workers through the fork, not pickle."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return ("fleet workers need the 'fork' start method "
+                "(predicate closures are not picklable)")
+    return None
 
 
 class FleetFuture:
@@ -151,11 +163,10 @@ class _WorkerHandle:
 
 
 class _Pending:
-    __slots__ = ("future", "scratch", "trace")
+    __slots__ = ("future", "trace")
 
-    def __init__(self, future, scratch, trace=None) -> None:
+    def __init__(self, future, trace=None) -> None:
         self.future = future
-        self.scratch = scratch
         # When fleet tracing is on: router-side request facts the
         # collector turns into serve.request/route/transport/worker/
         # response spans — trace_id, span_id, ops, t_submit_us,
@@ -251,6 +262,13 @@ class Fleet:
     def start(self) -> "Fleet":
         if self._running:
             return self
+        # Start the resource tracker before the first fork so every
+        # worker shares the router's: a worker attaching a caller's
+        # segment then re-registers a name the caller's handle already
+        # registered there, instead of becoming a second owner whose
+        # private tracker would report and unlink it when the worker
+        # exits.
+        resource_tracker.ensure_running()
         self._running = True
         self._collector = threading.Thread(
             target=self._collect_loop, name="fleet-collector", daemon=True)
@@ -290,7 +308,6 @@ class Fleet:
             self._pending.clear()
         for entry in pending:  # pragma: no cover - drain resolves first
             entry.future._fail(FleetError("fleet closed mid-request"))
-            self._release_scratch(entry)
 
     def __enter__(self) -> "Fleet":
         return self.start()
@@ -413,6 +430,10 @@ class Fleet:
         handle.inbox.put(("drain", waiter["token"]))
         if not waiter["event"].wait(timeout=self.config.drain_timeout_s):
             handle.process.terminate()
+            # Nothing reads this inbox any more; a payload still in its
+            # feeder thread would otherwise block interpreter exit on
+            # the full pipe.
+            handle.inbox.cancel_join_thread()
             with self._lock:
                 self._workers.pop(worker_id, None)
             raise FleetError(
@@ -445,17 +466,30 @@ class Fleet:
 
     def _prime_workers(self, prime_specs: List[tuple]) -> None:
         for handle, spec in prime_specs:
-            desc, scratch, meta = stage_payload(spec["values"])
-            waiter = self._register_waiter(next(self._token_ids))
-            handle.inbox.put(("prime", waiter["token"], spec["frozen"],
-                              desc, meta))
-            ok = waiter["event"].wait(timeout=self.config.drain_timeout_s)
-            if scratch is not None:
-                scratch.close()
-                scratch.unlink()
-            if not ok:  # pragma: no cover - worker wedged
-                raise FleetError(
+            if not self._prime(handle, spec["frozen"], spec["desc"]):
+                raise FleetError(  # pragma: no cover - worker wedged
                     f"re-priming {handle.worker_id} timed out")
+
+    def _prime(self, handle: _WorkerHandle, frozen, desc) -> bool:
+        """Ask one worker to prime a shape; False when it timed out."""
+        waiter = self._register_waiter(next(self._token_ids))
+        handle.inbox.put(("prime", waiter["token"], frozen, desc))
+        return waiter["event"].wait(timeout=self.config.drain_timeout_s)
+
+    def _stage(self, ops, values, site: str):
+        """Freeze, resolve and snapshot one request: ``(frozen, stages,
+        cfg, batch_key, desc)``.  The input goes through
+        :func:`~repro.stream.source.as_source` exactly once."""
+        frozen = freeze_ops(ops)  # verifies predicates cross safely
+        source = as_source(values, site=site)
+        cfg = self.ds_config if self.ds_config is not None else DSConfig()
+        stages = [OpStage(desc, args, kwargs)
+                  for desc, args, kwargs in _chain_spec(
+                      [ops] if isinstance(ops, str) else list(ops))]
+        batch_key = make_batch_key(
+            stages, source.materialize() if source.in_core else source,
+            cfg, cfg.resolved_backend())
+        return frozen, stages, cfg, batch_key, stage_payload(source)
 
     # -- submission -----------------------------------------------------
 
@@ -468,17 +502,9 @@ class Fleet:
         its batch key, so repeats of the same traffic shape always hit
         the same worker's warm plan cache.
         """
-        frozen = freeze_ops(ops)  # verifies predicates cross safely
-        source = as_source(values, site="Fleet.submit")
-        array = source.materialize() if source.in_core else source
-        cfg = self.ds_config if self.ds_config is not None else DSConfig()
-        stages = [OpStage(desc, args, kwargs)
-                  for desc, args, kwargs in _chain_spec(
-                      [ops] if isinstance(ops, str) else list(ops))]
-        batch_key = make_batch_key(stages, array, cfg,
-                                   cfg.resolved_backend())
-        desc, scratch, meta = stage_payload(values)
-        meta["deadline_ms"] = deadline_ms
+        frozen, stages, cfg, batch_key, desc = self._stage(
+            ops, values, "Fleet.submit")
+        meta = {"deadline_ms": deadline_ms}
         rid = next(self._req_ids)
         trace = None
         if self.tracing:
@@ -506,10 +532,10 @@ class Fleet:
             handle = self._workers[worker_id]
             self._route_counts[worker_id] = \
                 self._route_counts.get(worker_id, 0) + 1
-            self._note_warm_locked(batch_key, frozen, stages, array, cfg)
+            self._note_warm_locked(batch_key, frozen, stages, desc, cfg)
             future = FleetFuture(rid, worker_id,
                                  self.config.request_timeout_s)
-            self._pending[rid] = _Pending(future, scratch, trace)
+            self._pending[rid] = _Pending(future, trace)
         if trace is not None:
             trace["worker_id"] = worker_id
             trace["t_sent_us"] = self.now_us()
@@ -529,51 +555,36 @@ class Fleet:
         entry: tuple = (op, *args, kwargs) if kwargs else (op, *args)
         return self.submit_chain([entry], values, deadline_ms=deadline_ms)
 
-    def _note_warm_locked(self, batch_key, frozen, stages, array,
+    def _note_warm_locked(self, batch_key, frozen, stages, desc,
                           cfg) -> None:
         """Register the request shape for re-priming, under the same
         TuningDB-shaped kernel key the worker's server reports from
-        ``warm_keys()``.  In-core payloads keep a reference to the
-        input so :meth:`grow`/:meth:`drain` can replay ``prime``."""
-        if not getattr(array, "in_core", True) \
-                or not isinstance(array, np.ndarray):
+        ``warm_keys()``.  In-core payloads keep their staged snapshot
+        so :meth:`grow`/:meth:`drain` can replay ``prime``."""
+        if desc[0] != "array":
             return
         route_key = repr(batch_key)  # what the ring migrations report
         if route_key not in self._warm:
             from repro.tune.db import kernel_key
 
             self._warm[route_key] = {
-                "frozen": frozen, "values": array,
-                "kernel": kernel_key(stages, array, cfg,
+                "frozen": frozen, "desc": desc,
+                "kernel": kernel_key(stages, desc[1], cfg,
                                      cfg.resolved_backend()),
             }
 
     def prime(self, ops, values) -> str:
         """Pre-warm the worker the shape routes to (plan cache + JIT);
         returns that worker's id."""
-        frozen = freeze_ops(ops)
-        source = as_source(values, site="Fleet.prime")
-        array = source.materialize() if source.in_core else source
-        cfg = self.ds_config if self.ds_config is not None else DSConfig()
-        stages = [OpStage(desc, args, kwargs)
-                  for desc, args, kwargs in _chain_spec(
-                      [ops] if isinstance(ops, str) else list(ops))]
-        batch_key = make_batch_key(stages, array, cfg,
-                                   cfg.resolved_backend())
+        frozen, stages, cfg, batch_key, desc = self._stage(
+            ops, values, "Fleet.prime")
         with self._lock:
             if not self._running or not self._workers:
                 raise FleetError("fleet is not running")
             worker_id = self._ring.route(batch_key)
             handle = self._workers[worker_id]
-            self._note_warm_locked(batch_key, frozen, stages, array, cfg)
-        desc, scratch, meta = stage_payload(values)
-        waiter = self._register_waiter(next(self._token_ids))
-        handle.inbox.put(("prime", waiter["token"], frozen, desc, meta))
-        ok = waiter["event"].wait(timeout=self.config.drain_timeout_s)
-        if scratch is not None:
-            scratch.close()
-            scratch.unlink()
-        if not ok:
+            self._note_warm_locked(batch_key, frozen, stages, desc, cfg)
+        if not self._prime(handle, frozen, desc):
             raise FleetError(f"priming {worker_id} timed out")
         return worker_id
 
@@ -882,14 +893,6 @@ class Fleet:
 
     # -- the collector thread -------------------------------------------
 
-    def _release_scratch(self, entry: _Pending) -> None:
-        if entry.scratch is not None:
-            try:
-                entry.scratch.close()
-                entry.scratch.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-
     def _collect_loop(self) -> None:
         """Single reader of the shared outbox; resolves request futures
         and control-message waiters."""
@@ -903,19 +906,13 @@ class Fleet:
                 with self._lock:
                     entry = self._pending.pop(rid, None)
                 if entry is None:  # pragma: no cover - late response
-                    if status == "ok":
-                        try:
-                            fetch_result(rest[0])
-                        except Exception:
-                            pass
                     continue
                 # Router spans are synthesized *before* the future
                 # resolves, so a dump_trace() racing the client's
                 # result() can never miss a finished request's root.
                 try:
                     if status == "ok":
-                        desc, extras, timing = rest
-                        output = fetch_result(desc)
+                        output, extras, timing = rest
                         if entry.trace is not None:
                             self._emit_router_spans(entry.trace, timing)
                         entry.future._resolve(PrimitiveResult(
@@ -932,8 +929,6 @@ class Fleet:
                 except Exception as exc:  # pragma: no cover
                     entry.future._fail(FleetError(
                         f"response transport failed: {exc}"))
-                finally:
-                    self._release_scratch(entry)
             elif tag == "up":
                 _, worker_id, _n = msg
                 self._fulfil(("up", worker_id), None)

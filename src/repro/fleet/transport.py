@@ -16,31 +16,34 @@ Two problems stand between a router process and a worker process:
    :class:`~repro.errors.FleetError`; it never reaches a worker.
    :func:`revive_ops` is the worker-side inverse.
 
-2. **Payloads should not copy through a pipe.**  Request arrays move
-   as :mod:`multiprocessing.shared_memory` segments via the same
-   descriptor scheme the shard pool uses
-   (:func:`repro.stream.pool.input_descriptor` /
-   :func:`~repro.stream.pool.attach_input`): the router stages the
-   array once into a segment, the worker maps a zero-copy ndarray view
-   over it and serves straight from the mapping; only the descriptor
-   tuple crosses the queue.  Out-of-core memmap sources cross as their
-   path descriptor and stay streamed on the worker.  Responses come
-   back the same way (:func:`stage_result` / :func:`fetch_result`).
+2. **Payloads must not change after submit.**  An in-core request
+   array crosses the worker's inbox by value, like every other message:
+   at the sizes the fleet serves, pickling through the queue costs less
+   than creating, attaching and unlinking a shared-memory segment per
+   request, and leaves nothing for the resource tracker to report.  The
+   queue's feeder thread pickles lazily, so :func:`stage_payload`
+   snapshots the array first; a caller that mutates its array after
+   ``submit_chain`` returns cannot change the request.  Responses come
+   back through the shared outbox the same way.  Out-of-core sources
+   cross by descriptor and keep streaming on the worker: a file-backed
+   memmap by path, a caller-owned shared-memory segment by name (the
+   caller keeps owning it), anything else read once at submit and
+   re-wrapped as a :class:`~repro.stream.source.ShardIterSource`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
 from repro.core.predicates import Predicate, from_name
 from repro.errors import FleetError
-from repro.stream.pool import attach_input, input_descriptor
-from repro.stream.source import MemmapSource, as_source
+from repro.stream.source import (DSSource, MemmapSource, ShardIterSource,
+                                 SharedMemorySource)
 
 __all__ = ["freeze_ops", "revive_ops", "stage_payload", "attach_payload",
-           "stage_result", "fetch_result", "PROBE"]
+           "PROBE"]
 
 #: Fixed probe vector for predicate verification: negatives, zero,
 #: fractions, integer-valued floats — enough to distinguish every
@@ -132,79 +135,45 @@ def revive_ops(frozen: List[list]) -> List[tuple]:
 # -- payloads ------------------------------------------------------------
 
 
-def stage_payload(values) -> Tuple[tuple, Optional[object], dict]:
-    """Router-side: make one request input cross the boundary.
+def stage_payload(source: DSSource) -> tuple:
+    """Router-side: the descriptor one resolved request input crosses
+    the boundary as.
 
-    Returns ``(descriptor, scratch, meta)``: the descriptor the worker
-    attaches (``("shm", name, dtype, n)`` or ``("memmap", path, dtype,
-    offset, n)``), the scratch shared-memory segment to unlink once the
-    request resolves (``None`` when the input already lives in a file
-    or a named segment), and transport metadata — most importantly
-    ``meta["in_core"]``: an in-core input must be served as a resident
-    ndarray view on the worker (through the micro-batcher and its plan
-    cache), never re-interpreted as an out-of-core source.
+    * ``("array", snapshot)`` — an in-core input, copied now;
+    * ``("memmap", path, dtype, offset, shape)`` — a file-backed memmap;
+    * ``("shm", name, dtype, shape)`` — a caller-owned segment;
+    * ``("stream", values)`` — any other out-of-core source, read once
+      now and streamed again on the worker.
     """
-    source = as_source(values, site="Fleet.submit")
-    desc, scratch = input_descriptor(source)
-    return desc, scratch, {"in_core": bool(source.in_core)}
+    if source.in_core:
+        return ("array", np.array(source.materialize()))
+    if isinstance(source, MemmapSource) and source.path:
+        return ("memmap", source.path, str(source.dtype),
+                source.offset_bytes, source.shape)
+    if isinstance(source, SharedMemorySource):
+        return ("shm", source.name, str(source.dtype), source.shape)
+    return ("stream", np.array(source.materialize()))
 
 
-def attach_payload(desc: tuple, meta: dict):
-    """Worker-side: the submittable input for a staged payload.
-
-    Returns ``(values, shm)`` where ``values`` is either a zero-copy
-    ndarray view (in-core request — ``shm`` must stay alive until the
-    request resolves) or a reconstructed out-of-core source (streamed
-    request — ``shm`` is ``None``).
-    """
-    if not meta.get("in_core", True):
-        if desc[0] == "memmap":
-            _, path, dtype, offset, n = desc
-            mm = np.memmap(path, dtype=np.dtype(dtype), mode="r",
-                           offset=offset, shape=(n,))
-            return MemmapSource(mm), None
-        # An out-of-core shm source round-trips as a source too (it
-        # must keep streaming through the sharded engine).
-        from multiprocessing import shared_memory
-
-        from repro.stream.source import SharedMemorySource
-
-        _, name, dtype, n = desc
-        seg = shared_memory.SharedMemory(name=name)
-        return SharedMemorySource(seg, dtype, n_elems=n), None
-    array, shm = attach_input(desc)
-    return array, shm
-
-
-def stage_result(output: np.ndarray) -> Tuple[tuple, object]:
-    """Worker-side: stage a response array into a fresh shm segment.
-
-    Returns ``(descriptor, segment)``; the worker closes its handle
-    after posting the descriptor, the router unlinks after fetching.
-    """
-    from multiprocessing import shared_memory
-
-    flat = np.ascontiguousarray(output)
-    seg = shared_memory.SharedMemory(create=True,
-                                     size=max(1, flat.nbytes))
-    np.ndarray(flat.shape, dtype=flat.dtype, buffer=seg.buf)[:] = flat
-    return (("shm", seg.name, str(flat.dtype), flat.shape), seg)
-
-
-def fetch_result(desc: tuple) -> np.ndarray:
-    """Router-side: copy a response out of its segment and unlink it."""
+def attach_payload(desc: tuple):
+    """Worker-side: the submittable input for a staged payload — a
+    writable ndarray for an in-core request, an out-of-core source
+    otherwise (so the worker's server streams it)."""
+    kind = desc[0]
+    if kind == "array":
+        return desc[1]
+    if kind == "stream":
+        return ShardIterSource(iter([desc[1]]), dtype=desc[1].dtype)
+    if kind == "memmap":
+        _, path, dtype, offset, shape = desc
+        return MemmapSource(np.memmap(path, dtype=np.dtype(dtype), mode="r",
+                                      offset=offset, shape=shape))
     from multiprocessing import shared_memory
 
     _, name, dtype, shape = desc
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        view = np.ndarray(tuple(shape), dtype=np.dtype(dtype),
-                          buffer=shm.buf)
-        out = np.array(view, copy=True)
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-    return out
+    # The router started the resource tracker before forking, so this
+    # attach re-registers a name the caller's own handle already
+    # registered with that same tracker: a no-op.  The worker never
+    # unregisters or unlinks the segment; it stays the caller's.
+    return SharedMemorySource(shared_memory.SharedMemory(name=name), dtype,
+                              shape=shape)

@@ -3,9 +3,9 @@ forked child, driven by a control-message loop.
 
 Workers are forked (never spawned) so they inherit the parent's
 imports; requests still arrive *by value* through the transport layer
-— frozen op chains plus shared-memory payload descriptors — because a
-long-lived worker must serve requests submitted long after the fork,
-which inheritance cannot deliver.
+— frozen op chains plus payload descriptors whose in-core arrays ride
+the queue itself — because a long-lived worker must serve requests
+submitted long after the fork, which inheritance cannot deliver.
 
 The inbox protocol (one ``multiprocessing`` queue per worker; all
 workers share one outbox back to the router):
@@ -15,13 +15,13 @@ message                   effect
 ========================  ==============================================
 ``("req", rid, ops,       revive + attach, submit to the server, answer
 desc, meta)``             asynchronously via ``ServeFuture.
-                          add_done_callback`` → ``("res", rid, ...,
-                          timing)`` (``meta["trace"]`` carries the
-                          router's trace context when fleet tracing is
-                          on; ``timing`` holds worker-clock
+                          add_done_callback`` → ``("res", rid, "ok",
+                          output, extras, timing)`` (``meta["trace"]``
+                          carries the router's trace context when fleet
+                          tracing is on; ``timing`` holds worker-clock
                           ``recv_us``/``respond_us``)
 ``("prime", token, ops,   :meth:`Server.prime` the shape (plan-cache
-desc, meta)``             warmup) → ``("ack", wid, token, plans)``
+desc)``                   warmup) → ``("ack", wid, token, plans)``
 ``("stats", token)``      → ``("stats", wid, token, stats, warm_keys)``
 ``("fault", token, m)``   set the chaos injector mode → ack
 ``("profile", token,      record a ``loadgen.profile`` event into the
@@ -39,11 +39,10 @@ fields)``                 flight ring (makes worker bundles replayable)
                           spans)`` and exit the loop
 ========================  ==============================================
 
-Responses go through the shared outbox **after** the result array is
-staged into a fresh shm segment, so the router only ever reads
-descriptors off the queue.  The callback fires on the server's worker
-thread — micro-batching inside each fleet worker keeps working exactly
-as in the single-process serve tier.
+Responses carry the result array through the shared outbox.  The
+callback fires on the server's worker thread — micro-batching inside
+each fleet worker keeps working exactly as in the single-process serve
+tier.
 
 When fleet tracing is on (``FleetConfig.trace != "off"``), the worker
 captures ``t0_ns`` as its very first act, installs a tracer sharing
@@ -96,39 +95,22 @@ class MutableFaultInjector:
                 f"injected fault #{count} (fleet chaos hook)")
 
 
-def _respond(outbox, worker_id: str, rid: int, future, shm,
-             recv_us, now_us) -> None:
-    """Done-callback body: stage the result (or the error) and post it."""
-    from repro.fleet.transport import stage_result
-
-    def timing():
-        return {"recv_us": recv_us, "respond_us": now_us()}
-
-    try:
-        err = future.exception()
-        if err is not None:
-            outbox.put(("res", rid, "err", type(err).__name__, str(err),
-                        timing()))
-            return
-        result = future.result(timeout=0)
-        desc, seg = stage_result(np.asarray(result.output))
-        extras = {k: v for k, v in (result.extras or {}).items()
-                  if isinstance(v, (str, int, float, bool, type(None)))}
-        # The launch records stay in the worker; the backend they ran
-        # on rides back in the extras.
-        extras["backend"] = launch_backend(result.counters)
-        outbox.put(("res", rid, "ok", desc, extras, timing()))
-        seg.close()
-    except Exception as exc:  # pragma: no cover - transport failure
-        outbox.put(("res", rid, "err", type(exc).__name__,
-                    f"response staging failed on {worker_id}: {exc}",
-                    timing()))
-    finally:
-        if shm is not None:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover
-                pass
+def _respond(outbox, rid: int, future, recv_us, now_us) -> None:
+    """Done-callback body: post the result (or the error)."""
+    timing = {"recv_us": recv_us, "respond_us": now_us()}
+    err = future.exception()
+    if err is not None:
+        outbox.put(("res", rid, "err", type(err).__name__, str(err),
+                    timing))
+        return
+    result = future.result(timeout=0)
+    extras = {k: v for k, v in (result.extras or {}).items()
+              if isinstance(v, (str, int, float, bool, type(None)))}
+    # The launch records stay in the worker; the backend they ran on
+    # rides back in the extras.
+    extras["backend"] = launch_backend(result.counters)
+    outbox.put(("res", rid, "ok", np.asarray(result.output), extras,
+                timing))
 
 
 def worker_main(worker_id: str, inbox, outbox, serve_config, ds_config,
@@ -192,31 +174,18 @@ def worker_main(worker_id: str, inbox, outbox, serve_config, ds_config,
         try:
             if tag == "req":
                 _, rid, frozen, desc, meta = msg
-                ops = revive_ops(frozen)
-                values, shm = attach_payload(desc, meta)
                 trace = (TraceContext.from_dict(meta.get("trace"))
                          if TraceContext is not None else None)
-                try:
-                    fut = server.submit_chain(
-                        ops, values, deadline_ms=meta.get("deadline_ms"),
-                        trace=trace)
-                except Exception:
-                    if shm is not None:
-                        shm.close()
-                    raise
+                fut = server.submit_chain(
+                    revive_ops(frozen), attach_payload(desc),
+                    deadline_ms=meta.get("deadline_ms"), trace=trace)
                 fut.add_done_callback(
-                    lambda f, _rid=rid, _shm=shm, _recv=recv_us:
-                    _respond(outbox, worker_id, _rid, f, _shm, _recv,
-                             now_us))
+                    lambda f, _rid=rid, _recv=recv_us:
+                    _respond(outbox, _rid, f, _recv, now_us))
             elif tag == "prime":
-                _, token, frozen, desc, meta = msg
-                ops = revive_ops(frozen)
-                values, shm = attach_payload(desc, meta)
-                try:
-                    plans = server.prime(ops, values)
-                finally:
-                    if shm is not None:
-                        shm.close()
+                _, token, frozen, desc = msg
+                plans = server.prime(revive_ops(frozen),
+                                     attach_payload(desc))
                 outbox.put(("ack", worker_id, token, plans))
             elif tag == "stats":
                 _, token = msg

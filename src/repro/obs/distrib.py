@@ -8,9 +8,9 @@ the fork, and ``repro analyze`` only sees the router's side.  This
 module restores the end-to-end view with four pieces:
 
 * :class:`TraceContext` — the ``trace_id`` / ``parent_span_id`` /
-  ``request_id`` triple that rides the shared-memory transport's
-  ``meta`` dict (and the stream pool's fork handoff), so spans emitted
-  in a worker can be parented under the router's ``serve.request``;
+  ``request_id`` triple that rides the fleet transport's ``meta``
+  dict, so spans emitted in a worker can be parented under the
+  router's ``serve.request``;
 * :class:`SpanRing` — a bounded ring of completed spans filled through
   the tracer's span-sink hook (one deque append on the hot path;
   ``snapshot()`` serializes lazily into the small dicts that cross the

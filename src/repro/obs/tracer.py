@@ -76,8 +76,8 @@ def wg_track(group_index: int) -> str:
 # -- span / trace ids ----------------------------------------------------------
 #
 # Ids embed the pid and re-seed the sequence whenever the pid changes,
-# so spans recorded on the two sides of a fork (stream pool workers,
-# fleet workers) can never collide when merged into one fleet timeline.
+# so spans recorded on the two sides of a fork (fleet workers) can
+# never collide when merged into one fleet timeline.
 # The pid check is one comparison on the hot path; the race at the fork
 # boundary is benign because a freshly forked child is single-threaded.
 

@@ -52,7 +52,6 @@ from repro.pipeline.plan import (
     BatchPlan,
     OpCall,
     PlanCache,
-    PlanStep,
     plan_batch,
     plan_key,
 )
@@ -392,14 +391,19 @@ class Pipeline:
             with self.stream.batch(f"pipeline.batch#{self._batch_count}"):
                 events = {}
                 for step in plan.steps:
-                    first = by_index[step.op_indices[0]]
-                    for dep in first.deps:
+                    group = [by_index[i] for i in step.op_indices]
+                    for dep in group[0].deps:
                         if dep in events:
                             self.stream.wait_event(events[dep])
-                    if step.fused:
-                        self._run_fused_step(step, by_index, futures)
+                    values = (_materialize(group[0].args[0])
+                              if step.fused else None)
+                    if step.fused and np.size(values):
+                        self._run_fused_step(group, values, futures)
                     else:
-                        self._run_single(first, futures)
+                        # An empty input has nothing to fuse: each op
+                        # returns its reference result without a launch.
+                        for call in group:
+                            self._run_single(call, futures)
                     for idx in step.op_indices:
                         events[idx] = self.stream.record_event(
                             by_index[idx].desc.name)
@@ -415,22 +419,15 @@ class Pipeline:
                 [(call.desc, tuple(args[1:]), dict(kwargs))], args[0],
                 stream=self.stream, config=call.config)
         else:
-            result = call.desc.runner(*args, stream=self.stream,
-                                      config=call.config, **kwargs)
+            result = call.desc.run(*args, stream=self.stream,
+                                   config=call.config, **kwargs)
         futures[call.index]._resolve(result)
 
-    def _run_fused_step(self, step: PlanStep, by_index, futures) -> None:
-        calls = [by_index[i] for i in step.op_indices]
-        head = calls[0]
-        values = np.asarray(_materialize(head.args[0])).reshape(-1)
+    def _run_fused_step(self, calls: List[OpCall], values,
+                        futures) -> None:
+        values = np.asarray(values).reshape(-1)
         stages = [c.desc.fuse_stage(c.args, c.kwargs) for c in calls]
-        cfg = head.config
-        if values.size == 0:
-            # The fused kernel needs at least one element; an empty
-            # chain degenerates to the sequential path.
-            for call in calls:
-                self._run_single(call, futures)
-            return
+        cfg = calls[0].config
         labels = [s.label for s in stages]
         selection = fused_select(values, stages)
         buf = Buffer(values, "pipeline_fused")

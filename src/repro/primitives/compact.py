@@ -20,7 +20,7 @@ from repro.core.fused import FuseStage
 from repro.core.irregular import run_irregular_ds
 from repro.core.predicates import not_equal_to
 from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
-from repro.primitives.opspec import OpDescriptor, register_op
+from repro.primitives.opspec import FILTER_EMPTY, OpDescriptor, register_op
 from repro.simgpu.buffers import Buffer
 from repro.simgpu.device import DeviceSpec
 from repro.simgpu.stream import Stream
@@ -107,4 +107,5 @@ register_op(OpDescriptor(
     params_signature=lambda args, kwargs: ("remove_value", repr(args[1])),
     fuse_stage=lambda args, kwargs: FuseStage(
         "pred", not_equal_to(args[1])),
+    empty_extras=FILTER_EMPTY,
 ))

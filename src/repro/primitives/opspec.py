@@ -25,7 +25,7 @@ duplicating any primitive logic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from repro.core.fused import FuseStage
 from repro.errors import LaunchError
 
 __all__ = [
+    "FILTER_EMPTY",
+    "PARTITION_EMPTY",
     "OpDescriptor",
     "register_op",
     "get_op",
@@ -50,6 +52,11 @@ def array_signature(values) -> Tuple[Optional[int], str]:
         return sig()
     arr = np.asarray(values)
     return int(arr.size), str(arr.dtype)
+
+
+#: :attr:`OpDescriptor.empty_extras` of the filters and of partition.
+FILTER_EMPTY = {"n_kept": 0, "n_removed": 0}
+PARTITION_EMPTY = {"n_true": 0, "n_false": 0}
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,10 @@ class OpDescriptor:
         For fusable in-place irregular ops: ``(args, kwargs) ->``
         :class:`~repro.core.fused.FuseStage`.  ``None`` marks the op
         non-fusable.
+    empty_extras:
+        The extras of the op's reference result on an empty input
+        (``{"n_kept": 0, ...}``); ``None`` when the op has no empty
+        case and an empty input reaches the runner.
     """
 
     name: str
@@ -85,10 +96,32 @@ class OpDescriptor:
     runner: Callable
     params_signature: Callable = lambda args, kwargs: ()
     fuse_stage: Optional[Callable] = None
+    empty_extras: Optional[Mapping[str, int]] = None
 
     @property
     def fusable(self) -> bool:
         return self.fuse_stage is not None
+
+    def run(self, *args, stream=None, config, **kwargs):
+        """Invoke :attr:`runner` — every front door calls this, never
+        the runner directly.
+
+        An empty primary input returns the reference result (an empty
+        output and :attr:`empty_extras`) with no launch: the kernels
+        need at least one element, and an empty request is valid input,
+        not a launch failure to retry.
+        """
+        if (self.empty_extras is not None and args
+                and np.size(args[0]) == 0):
+            from repro.primitives.common import PrimitiveResult, \
+                resolve_stream
+
+            return PrimitiveResult(
+                output=np.asarray(args[0]).reshape(-1).copy(),
+                counters=[],
+                device=resolve_stream(stream, seed=config.seed).device,
+                extras=dict(self.empty_extras))
+        return self.runner(*args, stream=stream, config=config, **kwargs)
 
 
 _REGISTRY: Dict[str, OpDescriptor] = {}

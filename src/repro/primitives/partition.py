@@ -30,7 +30,7 @@ from repro.core.fastpath import vectorized_copy_launch
 from repro.core.irregular import run_irregular_ds
 from repro.core.predicates import Predicate
 from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
-from repro.primitives.opspec import OpDescriptor, register_op
+from repro.primitives.opspec import PARTITION_EMPTY, OpDescriptor, register_op
 from repro.simgpu.buffers import Buffer
 from repro.simgpu.device import DeviceSpec
 from repro.simgpu.kernels import copy_kernel  # re-exported for callers
@@ -168,4 +168,5 @@ register_op(OpDescriptor(
         "in_place", bool(kwargs.get("in_place", True))),
     # Partition keeps every element (it reorders, never drops), so it
     # cannot join a survivor-mask fusion chain.
+    empty_extras=PARTITION_EMPTY,
 ))

@@ -24,7 +24,7 @@ from repro.core.fused import FuseStage
 from repro.core.irregular import run_irregular_ds
 from repro.core.predicates import Predicate
 from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
-from repro.primitives.opspec import OpDescriptor, register_op
+from repro.primitives.opspec import FILTER_EMPTY, OpDescriptor, register_op
 from repro.simgpu.buffers import Buffer
 from repro.simgpu.device import DeviceSpec
 from repro.simgpu.stream import Stream
@@ -177,6 +177,7 @@ register_op(OpDescriptor(
     runner=_run_remove_if,
     params_signature=lambda args, kwargs: ("predicate", args[1].name),
     fuse_stage=lambda args, kwargs: FuseStage("pred", ~args[1]),
+    empty_extras=FILTER_EMPTY,
 ))
 
 register_op(OpDescriptor(
@@ -187,4 +188,5 @@ register_op(OpDescriptor(
     params_signature=lambda args, kwargs: ("predicate", args[1].name),
     # Out of place: its result buffer is fresh, so it never chains an
     # in-place fused group.
+    empty_extras=FILTER_EMPTY,
 ))

@@ -24,7 +24,7 @@ from repro.config import DSConfig, UNSET, resolve_config
 from repro.core.fused import FuseStage
 from repro.core.irregular import run_irregular_ds
 from repro.primitives.common import PrimitiveResult, primitive_span, resolve_stream
-from repro.primitives.opspec import OpDescriptor, register_op
+from repro.primitives.opspec import FILTER_EMPTY, OpDescriptor, register_op
 from repro.simgpu.buffers import Buffer
 from repro.simgpu.device import DeviceSpec
 from repro.simgpu.stream import Stream
@@ -104,4 +104,5 @@ register_op(OpDescriptor(
     kind="irregular",
     runner=_run_unique,
     fuse_stage=lambda args, kwargs: FuseStage("stencil"),
+    empty_extras=FILTER_EMPTY,
 ))

@@ -29,6 +29,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.config import reject_removed_env
+
 __all__ = ["ServeConfig", "DEFAULT_SERVE_CONFIG"]
 
 
@@ -88,10 +90,6 @@ class ServeConfig:
         Path for the structured JSONL event log
         (:mod:`repro.obs.log`); ``None`` keeps events in memory only
         (they still reach incident bundles via the flight recorder).
-    shard_workers:
-        Forked shard-worker processes for requests whose input streams
-        out of core (:mod:`repro.stream`); ``0`` streams such requests
-        sequentially inside the serve worker thread.
     """
 
     max_batch_size: int = 8
@@ -109,7 +107,6 @@ class ServeConfig:
     incident_cooldown_ms: float = 1000.0
     slo_ms: Optional[float] = None
     event_log: Optional[str] = None
-    shard_workers: int = 0
 
     def __post_init__(self) -> None:
         _positive("max_batch_size", int(self.max_batch_size))
@@ -126,7 +123,6 @@ class ServeConfig:
                   zero_ok=True)
         _positive("incident_cooldown_ms", float(self.incident_cooldown_ms),
                   zero_ok=True)
-        _positive("shard_workers", int(self.shard_workers), zero_ok=True)
         if (self.default_deadline_ms is not None
                 and float(self.default_deadline_ms) <= 0):
             raise ValueError(
@@ -152,11 +148,13 @@ class ServeConfig:
         ``REPRO_SERVE_BREAKER_COOLDOWN_MS``, ``REPRO_SERVE_SEED``,
         ``REPRO_SERVE_FLIGHT_CAPACITY``, ``REPRO_SERVE_INCIDENT_DIR``,
         ``REPRO_SERVE_INCIDENT_COOLDOWN_MS``, ``REPRO_SERVE_SLO_MS``,
-        ``REPRO_SERVE_EVENT_LOG``, and — shared with
-        :meth:`repro.config.DSConfig.from_env` — ``REPRO_SHARD_WORKERS``.
-        Malformed values raise :class:`ValueError` naming the variable.
+        and ``REPRO_SERVE_EVENT_LOG``.  Malformed values raise
+        :class:`ValueError` naming the variable; a set
+        ``REPRO_SHARD_WORKERS`` raises :class:`~repro.errors.ConfigError`
+        (:func:`repro.config.reject_removed_env`).
         """
         env = os.environ if environ is None else environ
+        reject_removed_env(env)
 
         def _get(name):
             raw = env.get(name, "")
@@ -200,7 +198,6 @@ class ServeConfig:
              _float),
             ("REPRO_SERVE_SLO_MS", "slo_ms", _float),
             ("REPRO_SERVE_EVENT_LOG", "event_log", _str),
-            ("REPRO_SHARD_WORKERS", "shard_workers", _int),
         ]
         for var, field_name, parse in spec:
             if _get(var):

@@ -378,8 +378,7 @@ class Server:
         :class:`~repro.stream.source.DSSource` input — a plain array
         executes as one resident batch op, while a memmap / shared
         memory / shard-iterator source streams shard-by-shard through
-        :mod:`repro.stream` (``ds_config.shard_elems`` /
-        ``shard_workers`` apply).  Raises
+        :mod:`repro.stream` (``ds_config.shard_elems`` applies).  Raises
         :class:`~repro.errors.Overloaded` when admission control sheds
         the request.
         """
@@ -501,12 +500,6 @@ class Server:
 
         source = as_source(values, site="Server.submit")
         array = source.materialize() if source.in_core else source
-        if (not source.in_core and self.config.shard_workers
-                and not cfg.shard_workers):
-            # The serve-level pool knob (ServeConfig.shard_workers /
-            # REPRO_SHARD_WORKERS) applies to streamed requests unless
-            # the per-request DSConfig already pinned a pool size.
-            cfg = cfg.replace(shard_workers=self.config.shard_workers)
         stages = [OpStage(desc, args, kwargs) for desc, args, kwargs in spec]
         backend = cfg.resolved_backend()
         if self.tuning_db is not None and isinstance(array, np.ndarray):
@@ -860,8 +853,7 @@ class Server:
 
                         results[req.id] = stream_run(
                             [(s.desc, s.args, s.kwargs) for s in req.ops],
-                            req.array, stream=stream, config=req.config,
-                            trace=req.trace)
+                            req.array, stream=stream, config=req.config)
                 if resident:
                     fuse = self._tuned_fuse.get(resident[0].batch_key, True)
                     p = Pipeline(stream, config=resident[0].config,

@@ -21,9 +21,6 @@ Public surface:
   :meth:`repro.serve.Server.submit`;
 * :func:`~repro.stream.engine.stream_run` — stream an op chain over a
   source (the engine behind all three front doors);
-* :func:`~repro.stream.pool.pool_run` — the horizontal scale-out:
-  a multi-process worker pool over shared-memory NumPy buffers, one
-  shard per process;
 * :func:`~repro.stream.plan.plan_shards` — the sharding planner.
 
 See ``docs/streaming.md`` for the shard protocol and memory model.
@@ -37,7 +34,6 @@ from repro.stream.engine import (
 )
 from repro.stream.ledger import ShardLedger
 from repro.stream.plan import Shard, plan_shards
-from repro.stream.pool import pool_run
 from repro.stream.source import (
     ArraySource,
     DSSource,
@@ -58,7 +54,6 @@ __all__ = [
     "plan_shards",
     "ShardLedger",
     "stream_run",
-    "pool_run",
     "is_out_of_core",
     "DEFAULT_SHARD_ELEMS",
     "STREAMABLE_OPS",

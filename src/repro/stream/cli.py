@@ -3,27 +3,25 @@
 Builds a seeded on-disk memmap several times larger than the configured
 device capacity (``--shard-elems``, the per-shard element budget),
 streams it through a ``compact → unique`` chain with
-:func:`repro.stream.engine.stream_run` in **both** execution modes —
-single-process (double-buffered prefetch) and the
-``multiprocessing.shared_memory`` worker pool — and verifies each
-result byte-for-byte against the NumPy reference computed over the
-whole file.  This is the ``make stream-smoke`` entry point::
+:func:`repro.stream.engine.stream_run` (single process, double-buffered
+prefetch), and verifies the result byte-for-byte against the NumPy
+reference computed over the whole file.  There is no worker-pool mode.
+This is the ``make stream-smoke`` entry point::
 
     python -m repro stream --check                  # smoke + verify
     python -m repro stream --trace stream.json      # + Chrome trace
     python -m repro stream --bench-dir benchmarks/results  # + index rows
 
-``--trace`` exports the single-process run's span timeline (per-shard
+``--trace`` exports the run's span timeline (per-shard
 ``stream.load``/``compute``/``store`` on ``shard:<k>`` tracks), which
 ``python -m repro analyze`` decomposes into per-shard stage
-attribution.  ``--bench-dir`` appends one ``backend="stream"`` row per
-mode to ``BENCH_INDEX.json`` (see :mod:`repro.obs.benchindex`).
+attribution.  ``--bench-dir`` appends one ``backend="stream"`` row to
+``BENCH_INDEX.json`` (see :mod:`repro.obs.benchindex`).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 import time
@@ -61,33 +59,29 @@ def _reference(mm: np.memmap, remove_value: float) -> np.ndarray:
     return kept[keep]
 
 
-def _run_mode(mm, remove_value, config, workers, label):
+def _run(mm, remove_value, config):
     from repro.stream.engine import stream_run
     from repro.stream.source import MemmapSource
 
     t0 = time.perf_counter()
     result = stream_run([("compact", remove_value), "unique"],
-                        MemmapSource(mm), config=config, workers=workers)
-    wall_s = time.perf_counter() - t0
-    return label, result, wall_s
+                        MemmapSource(mm), config=config)
+    return result, time.perf_counter() - t0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro stream",
         description="Stream an on-disk memmap larger than the device "
-                    "capacity through compact+unique, single-process "
-                    "and under the shared-memory worker pool, verifying "
-                    "against the NumPy reference.",
+                    "capacity through compact+unique in one process "
+                    "(there is no worker-pool mode), verifying against "
+                    "the NumPy reference.",
     )
     parser.add_argument("--elements", type=int, default=1 << 18,
                         help="memmap element count (default: 262144)")
     parser.add_argument("--shard-elems", type=int, default=1 << 15,
                         help="device capacity in elements per shard "
                              "(default: 32768 -> 8 shards)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes for the pool mode "
-                             "(default: 2)")
     parser.add_argument("--dtype", default="float32",
                         help="element dtype (default: float32)")
     parser.add_argument("--remove-value", type=float, default=0.0,
@@ -97,14 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--file", default=None, metavar="PATH",
                         help="memmap path (default: a temporary file)")
     parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="export the single-process run's Chrome "
-                             "trace (analyze with python -m repro "
-                             "analyze PATH)")
+                        help="export the run's Chrome trace (analyze "
+                             "with python -m repro analyze PATH)")
     parser.add_argument("--bench-dir", default=None, metavar="DIR",
-                        help="append backend='stream' rows to "
+                        help="append a backend='stream' row to "
                              "BENCH_INDEX.json in DIR")
     parser.add_argument("--check", action="store_true",
-                        help="non-zero exit unless both modes verify "
+                        help="non-zero exit unless the run verifies "
                              "byte-identically and the input spanned "
                              ">=4 shards")
     return parser
@@ -114,7 +107,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from repro import obs as _obs
     from repro.config import DSConfig
-    from repro.stream.pool import fork_unavailable_reason
 
     if args.elements < 1 or args.shard_elems < 1:
         print("stream: --elements and --shard-elems must be >= 1",
@@ -138,11 +130,9 @@ def main(argv=None) -> int:
               f"{args.shard_elems} elems)")
         reference = _reference(mm, args.remove_value)
 
-        runs = []
         tracer = _obs.enable("spans") if args.trace else None
         try:
-            runs.append(_run_mode(mm, args.remove_value, config, 0,
-                                  "single-process"))
+            result, wall_s = _run(mm, args.remove_value, config)
         finally:
             if tracer is not None:
                 from repro.obs import export_chrome_trace
@@ -151,54 +141,36 @@ def main(argv=None) -> int:
                 _obs.disable()
                 print(f"wrote {args.trace} "
                       f"(analyze: python -m repro analyze {args.trace})")
-        fork_blocked = fork_unavailable_reason()
-        if fork_blocked:
-            print(f"pool mode unavailable ({fork_blocked}); "
-                  f"skipping worker-pool run")
-        else:
-            runs.append(_run_mode(mm, args.remove_value, config,
-                                  args.workers, f"pool[{args.workers}]"))
 
+        ex = result.extras
+        ok = (result.output.dtype == reference.dtype
+              and np.array_equal(result.output, reference))
+        print(f"sequential: {'ok' if ok else 'MISMATCH'}  wall "
+              f"{wall_s * 1e3:8.1f} ms  shards {ex.get('shards')}  kept "
+              f"{ex.get('n_kept')}  boundary drops "
+              f"{ex.get('boundary_drops')}")
         failures = []
-        rows = []
-        for label, result, wall_s in runs:
-            ok = (result.output.dtype == reference.dtype
-                  and np.array_equal(result.output, reference))
-            ex = result.extras
-            status = "ok" if ok else "MISMATCH"
-            print(f"{label:>16}: {status}  wall {wall_s * 1e3:8.1f} ms  "
-                  f"shards {ex.get('shards')}  workers "
-                  f"{ex.get('n_workers')}  kept {ex.get('n_kept')}  "
-                  f"boundary drops {ex.get('boundary_drops')}")
-            if not ok:
-                failures.append(f"{label}: output differs from the "
-                                f"NumPy reference")
-            if ex.get("shards", 1) < 4:
-                failures.append(f"{label}: only {ex.get('shards')} "
-                                f"shards (need >= 4)")
-            rows.append((label, result, wall_s))
+        if not ok:
+            failures.append("output differs from the NumPy reference")
+        if ex.get("shards", 1) < 4:
+            failures.append(f"only {ex.get('shards')} shards (need >= 4)")
 
         if args.bench_dir:
             from repro.obs.benchindex import append_rows, row_from_stream_run
 
-            index_rows = [
-                row_from_stream_run(
-                    bench_id="stream_smoke", ops="compact+unique",
-                    elements=args.elements, dtype=args.dtype,
-                    wall_s=wall_s, extras=result.extras)
-                for label, result, wall_s in rows
-            ]
-            index_path = append_rows(args.bench_dir, index_rows)
-            print(f"appended {len(index_rows)} stream row(s) to "
-                  f"{index_path}")
+            index_path = append_rows(args.bench_dir, [row_from_stream_run(
+                bench_id="stream_smoke", ops="compact+unique",
+                elements=args.elements, dtype=args.dtype, wall_s=wall_s,
+                extras=ex)])
+            print(f"appended 1 stream row to {index_path}")
 
         if args.check:
             if failures:
                 for failure in failures:
                     print(f"CHECK FAILED: {failure}", file=sys.stderr)
                 return 1
-            print(f"check ok: {len(runs)} mode(s) byte-identical to the "
-                  f"reference across {runs[0][1].extras['shards']} shards")
+            print(f"check ok: byte-identical to the reference across "
+                  f"{ex['shards']} shards")
         return 0
     finally:
         mm = None  # release the map before the tempdir unlinks the file

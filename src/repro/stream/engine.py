@@ -28,9 +28,7 @@ Boundary semantics per op (the shard protocol; see docs/streaming.md):
 * **unique** — one cross-boundary stencil tap: shard *k* drops its
   first output element iff its stage-input's first element equals the
   stage-input's *last* element of the nearest non-empty predecessor
-  (empty shards pass the carry through).  Any position sequentially;
-  final-stage-only under the worker pool (an inline drop rewrites
-  downstream inputs, which only the sequential path can do).
+  (empty shards pass the carry through).  Any position in a chain.
 * **partition** — final stage only: each shard yields
   ``[trues; falses]`` plus ``n_true``; stitching concatenates every
   shard's trues in shard order, then every shard's falses — exactly
@@ -41,7 +39,14 @@ Boundary semantics per op (the shard protocol; see docs/streaming.md):
 
 Chains containing any other op fall back to materializing the source
 and running monolithically, with one :class:`RuntimeWarning` naming
-the blocking op.
+the blocking op.  Every op runs through
+:meth:`~repro.primitives.opspec.OpDescriptor.run`, so an empty shard
+(or a stage a previous stage emptied) returns the op's reference result
+without a launch.
+
+Streaming runs in the calling process only: out-of-core data slides
+shard by shard through one device's memory, as the paper's kernels
+slide it through one device's work-groups.
 """
 
 from __future__ import annotations
@@ -161,45 +166,16 @@ def streamable_reason(
     return None
 
 
-def pool_restriction(
-        stages: List[Tuple[OpDescriptor, tuple, dict]],
-        source: DSSource) -> Optional[str]:
-    """Why this chain/source pair needs the sequential streaming path
-    instead of the worker pool (``None`` when the pool applies)."""
-    last = len(stages) - 1
-    for i, (desc, _, _) in enumerate(stages):
-        cat = STREAMABLE_OPS.get(desc.name)
-        if cat == "unique" and i != last:
-            return ("ds_unique before another stage needs the sequential "
-                    "path (its boundary carry rewrites downstream inputs)")
-    if not source.sized:
-        return "an unsized shard-iterator source streams sequentially"
-    return None
-
-
 @dataclass
 class ShardChainResult:
-    """One shard's trip through the chain.
-
-    ``edges`` maps the index of each ``unique`` stage to that stage's
-    input ``(first, last)`` element pair (``None`` for an empty stage
-    input) — the boundary-carry material pool-mode stitching consumes.
-    ``drops`` counts carries applied *inline* (sequential mode only).
-    """
+    """One shard's trip through the chain; ``drops`` counts the
+    ``unique`` boundary carries applied to it."""
 
     output: np.ndarray
     counters: list
     n_final_in: int
     final_extras: dict
-    edges: Dict[int, Optional[Tuple[object, object]]]
     drops: int
-
-
-_EMPTY_EXTRAS = {
-    "filter": {"n_kept": 0, "n_removed": 0},
-    "unique": {"n_kept": 0, "n_removed": 0},
-    "partition": {"n_true": 0, "n_false": 0},
-}
 
 
 def run_shard_chain(
@@ -207,54 +183,37 @@ def run_shard_chain(
     values: np.ndarray,
     stream,
     config: DSConfig,
-    carries: Optional[Dict[int, object]] = None,
+    carries: Dict[int, object],
 ) -> ShardChainResult:
     """Run the whole chain over one in-core shard.
 
-    ``carries`` (sequential mode) maps each ``unique`` stage index to
-    the stage-input last element of the nearest non-empty predecessor
-    shard; boundary drops are applied inline and the dict is updated
-    for the next shard.  With ``carries=None`` (pool mode) no drops are
-    applied — the caller stitches from ``edges``.
+    ``carries`` maps each ``unique`` stage index to the stage-input
+    last element of the nearest non-empty predecessor shard; boundary
+    drops are applied inline and the dict is updated for the next
+    shard.
     """
     counters: list = []
-    edges: Dict[int, Optional[Tuple[object, object]]] = {}
     out: np.ndarray = values
     final_extras: dict = {}
     n_final_in = 0
     drops = 0
     for i, (desc, args, kwargs) in enumerate(stages):
-        cat = STREAMABLE_OPS[desc.name]
         x = np.asarray(out)
         flat = x.reshape(-1)
-        if cat == "unique":
-            edges[i] = ((flat[0], flat[-1]) if flat.size else None)
         if i == len(stages) - 1:
             n_final_in = int(flat.size)
-        if flat.size == 0 and cat in _EMPTY_EXTRAS:
-            # The DS kernels need at least one element; an empty shard
-            # input degenerates to an empty result with no launches.
-            res = PrimitiveResult(
-                output=flat[:0].copy(), counters=[], device=stream.device,
-                extras=dict(_EMPTY_EXTRAS[cat]))
-        else:
-            res = desc.runner(x, *args, stream=stream, config=config,
-                              **kwargs)
+        res = desc.run(x, *args, stream=stream, config=config, **kwargs)
         counters.extend(res.counters)
         out = res.output
         final_extras = res.extras
-        if cat == "unique" and carries is not None:
-            prev_last = carries.get(i)
-            if (prev_last is not None and flat.size
-                    and flat[0] == prev_last):
+        if STREAMABLE_OPS[desc.name] == "unique" and flat.size:
+            if carries.get(i) is not None and flat[0] == carries[i]:
                 out = out[1:]
                 drops += 1
-            if flat.size:
-                carries[i] = flat[-1]
+            carries[i] = flat[-1]
     return ShardChainResult(output=out, counters=counters,
                             n_final_in=n_final_in,
-                            final_extras=final_extras,
-                            edges=edges, drops=drops)
+                            final_extras=final_extras, drops=drops)
 
 
 def _row_elems(stages, source: DSSource) -> Optional[int]:
@@ -281,8 +240,7 @@ def _monolithic_fallback(stages, source: DSSource, stream,
     counters: list = []
     extras: dict = {}
     for desc, args, kwargs in stages:
-        res = desc.runner(out, *args, stream=stream, config=config,
-                          **kwargs)
+        res = desc.run(out, *args, stream=stream, config=config, **kwargs)
         counters.extend(res.counters)
         out = res.output
         extras = res.extras
@@ -367,24 +325,16 @@ def stream_run(
     *,
     stream=None,
     config: Optional[DSConfig] = None,
-    workers: Optional[int] = None,
     double_buffer: Optional[bool] = None,
-    trace=None,
 ) -> PrimitiveResult:
     """Stream an op chain over ``source``, shard by shard.
 
     ``ops`` is a chain spec (see :func:`normalize_chain`); ``source``
     is anything :func:`~repro.stream.source.as_source` accepts.
-    ``workers`` / ``double_buffer`` default to ``config.shard_workers``
-    / ``config.double_buffer``; ``workers > 0`` dispatches pool-capable
-    chains to :func:`~repro.stream.pool.pool_run`.  ``trace`` is an
-    optional distributed trace context (a
-    :class:`~repro.obs.distrib.TraceContext` or its dict form) handed
-    to the pool's forked workers so per-shard spans correlate with the
-    originating fleet request.  Returns one merged
-    :class:`~repro.primitives.common.PrimitiveResult` whose output is
-    byte-identical to the monolithic chain and whose counters are the
-    per-shard launch records in shard order.
+    ``double_buffer`` defaults to ``config.double_buffer``.  Returns
+    one merged :class:`~repro.primitives.common.PrimitiveResult` whose
+    output is byte-identical to the monolithic chain and whose counters
+    are the per-shard launch records in shard order.
     """
     config = config if config is not None else DEFAULT_CONFIG
     src = as_source(source, site="stream_run")
@@ -395,28 +345,8 @@ def stream_run(
     reason = streamable_reason(stages)
     if reason is not None:
         return _monolithic_fallback(stages, src, stream, config, reason)
-    n_workers = int(workers if workers is not None
-                    else getattr(config, "shard_workers", 0) or 0)
     dbuf = bool(getattr(config, "double_buffer", True)
                 if double_buffer is None else double_buffer)
-    if n_workers > 0:
-        block = pool_restriction(stages, src)
-        if block is None:
-            from repro.stream.pool import fork_unavailable_reason, pool_run
-            block = fork_unavailable_reason()
-            if block is None:
-                return pool_run(stages, src, stream=stream, config=config,
-                                n_workers=n_workers,
-                                shard_elems=shard_elems, trace=trace)
-        warnings.warn(
-            f"stream_run: {block}; falling back to the single-process "
-            f"streaming path", RuntimeWarning, stacklevel=2)
-        n_workers = 0
-    return _sequential_run(stages, src, stream, config, shard_elems, dbuf)
-
-
-def _sequential_run(stages, src: DSSource, stream, config: DSConfig,
-                    shard_elems: int, dbuf: bool) -> PrimitiveResult:
     tracer = _obs.active()
     now = tracer.now_us if tracer is not None else (
         lambda: time.perf_counter_ns() / 1e3)
@@ -439,7 +369,7 @@ def _sequential_run(stages, src: DSSource, stream, config: DSConfig,
     with primitive_span(
         "stream.run", backend=config.backend,
         ops="+".join(d.short for d, _, _ in stages),
-        shard_elems=shard_elems, n_workers=0, double_buffer=dbuf,
+        shard_elems=shard_elems, double_buffer=dbuf,
     ) as sp:
         feed = _ShardFeed(src, shard_elems, row_elems, now, dbuf)
         for k, arr, l0, l1 in feed:
@@ -484,7 +414,7 @@ def _sequential_run(stages, src: DSSource, stream, config: DSConfig,
                                    final_extras, final_in_total,
                                    n_true_total, n_false_total, row_elems)
         extras.update({"streamed": True, "shards": ledger.n_shards,
-                       "shard_elems": shard_elems, "n_workers": 0,
+                       "shard_elems": shard_elems,
                        "double_buffer": dbuf,
                        "boundary_drops": drops_total})
         sp.set(shards=ledger.n_shards, boundary_drops=drops_total,

@@ -14,8 +14,7 @@ of :mod:`repro.collectives.lookback` (LightScan), reusing its
 :data:`~repro.collectives.lookback.TILE_PREFIX` states per shard:
 
 * a shard that finishes computing **publishes its aggregate** (its own
-  kept count) immediately — pool workers finish out of order, exactly
-  like tiles under an unfair scheduler;
+  kept count) immediately;
 * resolving shard *k*'s **exclusive prefix** (its output offset) walks
   predecessors, summing aggregates until a published prefix terminates
   the walk; an ``INVALID`` predecessor means "not yet" — the caller
@@ -23,8 +22,7 @@ of :mod:`repro.collectives.lookback` (LightScan), reusing its
 * once resolved, the prefix is published, unblocking every later shard
   in one step.
 
-The ledger is thread-safe (the single-process engine and the pool's
-stitcher both drive it), and :meth:`LookbackScanSim`-style
+The ledger is thread-safe, and :meth:`LookbackScanSim`-style
 ``publish``/``try_resolve`` naming keeps the correspondence with the
 in-kernel state machine explicit.
 """

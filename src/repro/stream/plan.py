@@ -2,8 +2,7 @@
 
 A :class:`Shard` is a half-open element range ``[lo, hi)`` of the flat
 input — the unit the streaming engine loads, computes and stores as one
-double-buffered stage, and the unit the worker pool hands to one
-process.  Shard size is the configured device capacity
+double-buffered stage.  Shard size is the configured device capacity
 (``DSConfig.shard_elems`` / ``REPRO_SHARD_ELEMS``); the last shard
 carries the remainder.
 

@@ -14,8 +14,8 @@ type rather than a side channel:
   shard-by-shard when it exceeds the configured device capacity
   (``DSConfig.shard_elems`` / ``REPRO_SHARD_ELEMS``);
 * a ``multiprocessing.shared_memory.SharedMemory`` handle (wrapped
-  with its dtype) becomes a :class:`SharedMemorySource` — the zero-copy
-  hand-off format of the worker pool;
+  with its dtype) becomes a :class:`SharedMemorySource` — a segment a
+  fleet worker attaches by name;
 * an iterator/generator of ``np.ndarray`` chunks becomes a
   :class:`ShardIterSource` (unsized; streamed sequentially).
 
@@ -150,9 +150,9 @@ class ArraySource(DSSource):
 class MemmapSource(DSSource):
     """A file-backed ``np.memmap`` — the canonical out-of-core input.
 
-    Workers in the process pool reopen the mapping from ``path`` (mode
-    ``"r"``), so shards stream through the OS page cache without ever
-    copying the file into anonymous memory.
+    Fleet workers reopen the mapping from ``path`` (mode ``"r"``), so
+    shards stream through the OS page cache without ever copying the
+    file into anonymous memory.
     """
 
     kind = "memmap"
@@ -198,8 +198,8 @@ class SharedMemorySource(DSSource):
 
     The raw handle carries no type information, so wrapping is explicit:
     ``SharedMemorySource(shm, dtype=np.float32)`` (or pass ``dtype=`` /
-    ``shape=`` through :func:`as_source`).  ``name`` lets pool workers
-    re-attach zero-copy.
+    ``shape=`` through :func:`as_source`).  ``name`` lets fleet workers
+    attach zero-copy; the segment stays the caller's to unlink.
     """
 
     kind = "shm"

@@ -351,7 +351,7 @@ def tune_serve(
     """
     from repro.serve.config import ServeConfig
     from repro.serve.loadgen import make_shape, run_load
-    from repro.stream.pool import fork_unavailable_reason
+    from repro.fleet.fleet import fork_unavailable_reason
 
     if budget < 1:
         raise ReproError(f"tune budget must be >= 1, got {budget}")

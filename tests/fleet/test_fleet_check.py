@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import DSConfig
 from repro.fleet.loadgen import run_fleet_check
-from repro.stream.pool import fork_unavailable_reason
+from repro.fleet.fleet import fork_unavailable_reason
 
 pytestmark = [
     pytest.mark.slow,

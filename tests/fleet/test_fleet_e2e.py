@@ -11,7 +11,7 @@ import pytest
 from repro.fleet import Fleet, FleetConfig
 from repro.serve.config import ServeConfig
 from repro.serve.loadgen import make_shape
-from repro.stream.pool import fork_unavailable_reason
+from repro.fleet.fleet import fork_unavailable_reason
 
 pytestmark = [
     pytest.mark.slow,

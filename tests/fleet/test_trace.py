@@ -14,7 +14,7 @@ from repro.obs import analyze as obs_analyze
 from repro.obs.export import validate_chrome_trace
 from repro.serve.config import ServeConfig
 from repro.serve.loadgen import make_shape
-from repro.stream.pool import fork_unavailable_reason
+from repro.fleet.fleet import fork_unavailable_reason
 
 pytestmark = [
     pytest.mark.slow,

@@ -312,14 +312,21 @@ class TestFusedExecution:
         assert p.last_plan.n_fused_groups == 0
         assert p.stream.num_launches == 2
 
-    def test_empty_input_matches_sequential_error(self):
-        """The fused path refuses empty inputs the same way a direct
-        ds_* call does — by raising, not by silently skipping."""
+    def test_empty_input_matches_sequential_result(self):
+        """A fusable chain over an empty input returns what the direct
+        ds_* calls return: the reference result, with no launch."""
         p = Pipeline(config=_cfg("simulated"), fuse=True)
         f1 = p.compact(np.array([], dtype=np.int64), 0)
-        p.unique(f1)
-        with pytest.raises(LaunchError, match="positive"):
-            p.run()
+        f2 = p.unique(f1)
+        p.run()
+        assert p.last_plan.n_fused_groups == 1
+        assert p.stream.num_launches == 0
+        for fut in (f1, f2):
+            res = fut.result()
+            assert res.output.shape == (0,)
+            assert res.output.dtype == np.int64
+            assert res.extras == {"n_kept": 0, "n_removed": 0}
+            assert res.counters == []
 
 
 class TestBatchObservability:

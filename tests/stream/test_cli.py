@@ -20,7 +20,7 @@ class TestStreamCli:
         bench = tmp_path / "bench"
         bench.mkdir()
         rc = main(["--check", "--elements", "8192",
-                   "--shard-elems", "1024", "--workers", "2",
+                   "--shard-elems", "1024",
                    "--file", str(tmp_path / "in.dat"),
                    "--trace", str(trace),
                    "--bench-dir", str(bench)])
@@ -28,7 +28,7 @@ class TestStreamCli:
         assert trace.exists()
         doc = json.loads((bench / "BENCH_INDEX.json").read_text())
         stream_rows = [r for r in doc["rows"] if r["backend"] == "stream"]
-        assert len(stream_rows) >= 1
+        assert len(stream_rows) == 1
         for row in stream_rows:
             assert row["shards"] >= 4
             assert row["elements"] == 8192
@@ -37,7 +37,7 @@ class TestStreamCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
         assert args.shard_elems < args.elements  # multi-shard by default
-        assert args.workers >= 1
+        assert not hasattr(args, "workers")  # the pool mode is gone
 
     def test_bad_geometry_fails(self, tmp_path):
         # A shard budget of 0 must surface the config error, not crash.

@@ -118,13 +118,6 @@ class TestServeFrontDoor:
         assert any("Server.submit" in str(w.message) for w in caught
                    if issubclass(w.category, DeprecationWarning))
 
-    def test_serveconfig_shard_workers_applies(self, data, mm):
-        cfg = ServeConfig(max_wait_ms=1.0, num_workers=1, shard_workers=2)
-        with Server(cfg, ds_config=_cfg()) as srv:
-            res = srv.submit("compact", mm, 0.0).result(timeout=30.0)
-        np.testing.assert_array_equal(res.output, data[data != 0.0])
-        assert res.extras["n_workers"] == 2
-
     def test_streamed_and_resident_share_a_batch_window(self, data, mm):
         # A streamed and an in-core request admitted together must both
         # resolve correctly — the batcher splits them internally.

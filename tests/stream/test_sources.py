@@ -147,17 +147,14 @@ class TestDeprecationStacklevel:
         assert deprecations[0].filename == __file__
 
     def test_warning_skips_repro_internals_on_an_indirect_call(self):
-        # stage_payload -> as_source adds a repro-internal frame; the
+        # Pipeline.enqueue -> as_source adds repro-internal frames; the
         # warning must still blame this test file, not the dispatch
         # internals between the user and as_source.
-        from repro.fleet.transport import stage_payload
+        from repro import Pipeline
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            desc, scratch, meta = stage_payload([1.0, 2.0, 3.0])
-        if scratch is not None:
-            scratch.close()
-            scratch.unlink()
+            Pipeline().enqueue("compact", [1.0, 0.0, 3.0], 0.0)
         deprecations = [w for w in caught
                         if issubclass(w.category, DeprecationWarning)]
         assert deprecations, "expected a legacy-coercion warning"
